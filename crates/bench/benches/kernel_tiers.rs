@@ -1,41 +1,38 @@
-//! Scoring-tier roofline benchmark (DESIGN.md §14): the exact tape
-//! engine against the fused f32 kernel tier on the steady-state serving
-//! workload (warm receptive-field cache, warm derived tables, every
-//! test group scoring the full catalog).
+//! Tape-versus-engine roofline benchmark (DESIGN.md §14): the training
+//! tape's forward ([`Kgag::score_group_items`], the per-case oracle
+//! path) against the inference engine ([`kgag::BatchScorer`], warm
+//! receptive-field cache) on the steady-state serving workload — every
+//! test group scoring the full catalog. The two produce the same bits;
+//! this file measures time only (correctness is owned by
+//! `tests/engine_oracle.rs` and the `accuracy_check` CI gate).
 //!
-//! Beyond wall-clock medians the artifact reports the roofline-style
-//! numbers the acceptance gate reads:
+//! Beyond wall-clock medians the artifact reports:
 //!
-//! * `ns_per_candidate_{exact,f32}` — median time per `(group, item)`
+//! * `ns_per_candidate_{tape,engine}` — median time per `(group, item)`
 //!   instance;
-//! * `speedup_f32` — exact median / f32 median (the headline);
-//! * `bytes_per_score_f32` — analytic table traffic per instance on the
-//!   f32 tier: every gathered entity/relation row at its blocked
-//!   stride, summed over both receptive fields. With the measured
-//!   ns/candidate this locates the kernel against memory bandwidth;
-//! * `tables_bytes` — resident size of the derived f32 tables.
-//!
-//! Cross-tier *correctness* is owned by `crates/core/tests/tier_oracle.rs`
-//! and the `accuracy_check` CI gate; this file measures time only.
+//! * `speedup_engine` — tape median / engine median (the headline);
+//! * `bytes_per_score` — analytic table traffic per instance: every
+//!   gathered entity/relation row, summed over both receptive fields.
+//!   With the measured ns/candidate this locates the engine against
+//!   memory bandwidth;
+//! * `nproc` and `cpu_model` — the machine the numbers come from.
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{Kgag, KgagConfig, ScoreTier};
+use kgag::{Kgag, KgagConfig};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
-use kgag_tensor::infer::blocked_stride;
 use kgag_tensor::pool::with_threads;
 use kgag_testkit::bench::{black_box, BenchSuite};
 use kgag_testkit::json::Json;
 
 const THREADS: usize = 4;
 
-/// Analytic bytes of blocked-table rows one `(group, item)` instance
-/// gathers on the f32 tier: entity rows at every propagation level plus
-/// the relation rows their edges read, for `l` member targets and one
-/// item target.
+/// Analytic bytes of table rows one `(group, item)` instance gathers:
+/// entity rows at every propagation level plus the relation rows their
+/// edges read, for `l` member targets and one item target.
 fn bytes_per_score(dim: usize, layers: usize, k: usize, l: usize) -> f64 {
-    let row_bytes = (blocked_stride(dim) * 4) as f64;
+    let row_bytes = (dim * 4) as f64;
     let mut entity_rows = 0f64;
     let mut relation_rows = 0f64;
     for lvl in 0..=layers {
@@ -46,6 +43,19 @@ fn bytes_per_score(dim: usize, layers: usize, k: usize, l: usize) -> f64 {
     }
     let targets = (l + 1) as f64;
     targets * (entity_rows + relation_rows) * row_bytes
+}
+
+/// The first `model name` line of `/proc/cpuinfo`, where there is one.
+fn cpu_model() -> Json {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| Json::Str(m.trim().to_owned()))
+        })
+        .unwrap_or(Json::Null)
 }
 
 fn main() {
@@ -65,65 +75,46 @@ fn main() {
     suite.annotate("cases", Json::Float(cases.len() as f64));
     suite.annotate("instances", Json::Float(instances));
     suite.annotate("threads", Json::Float(THREADS as f64));
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    suite.annotate("nproc", Json::Float(nproc as f64));
+    suite.annotate("cpu_model", cpu_model());
 
-    // both scorers warm: rf cache and (for f32) derived tables built
-    // outside the timed region — the steady-state serving shape
-    let exact = model.batch_scorer_with(true);
-    let fused = model.batch_scorer_with(true).with_tier(ScoreTier::FusedF32);
-
-    let label = format!("exact warm {} cases t{THREADS}", cases.len());
-    with_threads(THREADS, || {
-        suite.bench(&label, || {
-            black_box(exact.score_cases(&cases));
-        })
-    });
-    let exact_ns = suite.results().last().unwrap().median_ns;
-
-    let label = format!("f32 warm {} cases t{THREADS}", cases.len());
-    with_threads(THREADS, || {
-        suite.bench(&label, || {
-            black_box(fused.score_cases(&cases));
-        })
-    });
-    let f32_ns = suite.results().last().unwrap().median_ns;
-
-    // single-thread legs separate kernel efficiency from pool scaling
-    let label = format!("exact warm {} cases t1", cases.len());
-    with_threads(1, || {
-        suite.bench(&label, || {
-            black_box(exact.score_cases(&cases));
-        })
-    });
-    let label = format!("f32 warm {} cases t1", cases.len());
-    with_threads(1, || {
-        suite.bench(&label, || {
-            black_box(fused.score_cases(&cases));
-        })
-    });
-
-    // table-derivation cost: what a checkpoint load pays to enter the
-    // f32 tier (compare against the rf-cache build in batched_inference)
-    suite.bench("derive tables", || {
-        black_box(model.batch_scorer_with(false).with_tier(ScoreTier::FusedF32));
-    });
+    // the engine warm: rf cache built outside the timed region — the
+    // steady-state serving shape
+    let engine = model.batch_scorer_with(true);
+    let tape = || {
+        for (group, items) in &cases {
+            black_box(model.score_group_items(*group, items));
+        }
+    };
+    let mut medians = Vec::new();
+    for threads in [THREADS, 1] {
+        let label = format!("tape {} cases t{threads}", cases.len());
+        with_threads(threads, || suite.bench(&label, tape));
+        medians.push(suite.results().last().unwrap().median_ns);
+        let label = format!("engine warm {} cases t{threads}", cases.len());
+        with_threads(threads, || {
+            suite.bench(&label, || {
+                black_box(engine.score_cases(&cases));
+            })
+        });
+        medians.push(suite.results().last().unwrap().median_ns);
+    }
+    let (tape_ns, engine_ns) = (medians[0], medians[1]);
 
     let cfg = model.config();
     let k = cfg.eval_neighbor_k.unwrap_or(cfg.neighbor_k);
     let bps = bytes_per_score(cfg.dim, cfg.layers, k, model.group_size());
-    suite.annotate("ns_per_candidate_exact", Json::Float(exact_ns / instances));
-    suite.annotate("ns_per_candidate_f32", Json::Float(f32_ns / instances));
-    suite.annotate("speedup_f32", Json::Float(exact_ns / f32_ns));
-    suite.annotate("bytes_per_score_f32", Json::Float(bps));
-    suite.annotate(
-        "tables_bytes",
-        Json::Float(fused.tables_bytes().expect("f32 scorer has tables") as f64),
-    );
+    suite.annotate("ns_per_candidate_tape", Json::Float(tape_ns / instances));
+    suite.annotate("ns_per_candidate_engine", Json::Float(engine_ns / instances));
+    suite.annotate("speedup_engine", Json::Float(tape_ns / engine_ns));
+    suite.annotate("bytes_per_score", Json::Float(bps));
     println!(
-        "\nkernel_tiers: {:.0} ns/candidate exact, {:.0} ns/candidate f32 \
+        "\nkernel_tiers: {:.0} ns/candidate tape, {:.0} ns/candidate engine \
          (speedup {:.2}x), {:.0} analytic bytes/score",
-        exact_ns / instances,
-        f32_ns / instances,
-        exact_ns / f32_ns,
+        tape_ns / instances,
+        engine_ns / instances,
+        tape_ns / engine_ns,
         bps
     );
     suite.finish();

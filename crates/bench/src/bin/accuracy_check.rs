@@ -1,286 +1,80 @@
-//! CI accuracy gate for the fused f32 inference tier (DESIGN.md §14):
-//! train the fixed-seed smoke model, score the evaluation slice under
-//! both scoring tiers, and fail when the f32 tier's *ranking* agreement
-//! with the exact engine falls outside the committed contract.
+//! CI bit-identity gate for the inference engine (DESIGN.md §14):
+//! train the fixed-seed smoke model, score the evaluation slice through
+//! the served engine ([`kgag::BatchScorer`]) and through the tape
+//! forward ([`Kgag::score_group_items`]), and fail unless every score
+//! is equal to the bit (max |Δscore| = 0).
 //!
 //! ```text
-//! accuracy_check [--baseline PATH] [--write-baseline]
+//! accuracy_check
 //! ```
 //!
-//! * `--baseline` — committed contract file (default
-//!   `results/accuracy_contract.json`, resolved from the invocation
-//!   directory — ci.sh runs this from the repo root);
-//! * `--write-baseline` — regenerate the contract after an intentional
-//!   kernel change (`./ci.sh --accuracy-baseline`): tolerances are
-//!   re-derived from the fresh measurements with fixed headroom.
-//!
-//! The contract is about *rankings*, not bits — the f32 tier trades the
-//! tape engine's exact arithmetic for fused kernels, so scores drift by
-//! float-fusion error. What must not drift is what a recommender
-//! serves: the gate checks mean top-K overlap, absolute Recall@K /
-//! NDCG@K deltas under the sampled-negative protocol, and the pairwise
-//! order-inversion rate over full-catalog scores. Every measured
-//! quantity is deterministic at any `KGAG_THREADS` (both tiers are
-//! thread- and chunk-invariant, enforced by the oracle suites), so
-//! ci.sh runs this gate at 1 and 4 threads and both legs must produce
-//! identical numbers.
-//!
-//! When `KGAG_SCORE_DTYPE` is set in the environment the gate also
-//! asserts it resolves to the f32 tier — catching a CI stage that
-//! thinks it pinned the tier but exported a typo.
+//! Both paths are thread- and chunk-invariant (enforced by the oracle
+//! suites), so ci.sh runs this gate at `KGAG_THREADS` 1 and 4 and both
+//! legs must print identical numbers. The sampled-negative evaluation
+//! protocol is compared too: the batched metrics must equal the
+//! per-case ones exactly.
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{Kgag, KgagConfig, ScoreTier};
+use kgag::{Kgag, KgagConfig};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
 use kgag_eval::EvalConfig;
-use kgag_testkit::json::{Json, ToJson};
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Split seed shared with golden_check and the CLI's train path.
 const SPLIT_SEED: u64 = 0x5eed;
-/// Ranking cutoff for the overlap and metric deltas.
-const K: usize = 5;
 
-struct Args {
-    baseline: PathBuf,
-    write_baseline: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args =
-        Args { baseline: PathBuf::from("results/accuracy_contract.json"), write_baseline: false };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--baseline" => args.baseline = it.next().ok_or("--baseline needs a path")?.into(),
-            "--write-baseline" => args.write_baseline = true,
-            other => return Err(format!("unknown argument: {other}")),
-        }
+fn run() -> Result<bool, String> {
+    if let Some(arg) = std::env::args().nth(1) {
+        return Err(format!("unknown argument: {arg}"));
     }
-    Ok(args)
-}
-
-/// What one cross-tier comparison run measures.
-struct Measured {
-    topk_overlap: f64,
-    recall_delta: f64,
-    ndcg_delta: f64,
-    inversion_rate: f64,
-    max_abs_score_delta: f64,
-}
-
-impl Measured {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("topk_overlap", Json::Float(self.topk_overlap)),
-            ("recall_delta", Json::Float(self.recall_delta)),
-            ("ndcg_delta", Json::Float(self.ndcg_delta)),
-            ("inversion_rate", Json::Float(self.inversion_rate)),
-            ("max_abs_score_delta", Json::Float(self.max_abs_score_delta)),
-        ])
-    }
-}
-
-/// Indices of the top-`k` scores, ties broken by index (the ordering
-/// every ranking consumer in the workspace uses).
-fn top_k(scores: &[f32], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then_with(|| a.cmp(&b)));
-    idx.truncate(k);
-    idx
-}
-
-/// Fraction of strictly-ordered exact-tier pairs the fused tier
-/// inverts. Pairs the exact tier ties are skipped — there is no order
-/// to preserve.
-fn inversion_rate(exact: &[f32], fused: &[f32]) -> (u64, u64) {
-    let order = {
-        let mut idx: Vec<usize> = (0..exact.len()).collect();
-        idx.sort_by(|&a, &b| exact[b].partial_cmp(&exact[a]).unwrap().then_with(|| a.cmp(&b)));
-        idx
-    };
-    let (mut inversions, mut pairs) = (0u64, 0u64);
-    for i in 0..order.len() {
-        for j in (i + 1)..order.len() {
-            let (a, b) = (order[i], order[j]);
-            if exact[a] > exact[b] {
-                pairs += 1;
-                if fused[a] < fused[b] {
-                    inversions += 1;
-                }
-            }
-        }
-    }
-    (inversions, pairs)
-}
-
-/// Train the smoke model once and measure cross-tier agreement.
-fn measure() -> Measured {
+    println!("accuracy_check: training the fixed-seed smoke model...");
     let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
     let split = split_dataset(&ds, SPLIT_SEED);
     let mut model = Kgag::new(&ds, &split, KgagConfig { epochs: 4, ..Default::default() });
     model.fit(&split);
 
-    let exact = model.batch_scorer_with(true);
-    let fused = model.batch_scorer_with(true).with_tier(ScoreTier::FusedF32);
-
-    // full-catalog scores per test group: top-K overlap + inversions
+    // full-catalog scores per test group, engine vs tape
     let items: Vec<u32> = (0..ds.num_items).collect();
     let test = eval_cases(&ds, &split.group, EvalBucket::Test);
     let cases: Vec<(u32, Vec<u32>)> = test.iter().map(|c| (c.group, items.clone())).collect();
-    let exact_scores = exact.score_cases(&cases);
-    let fused_scores = fused.score_cases(&cases);
-
-    let (mut overlap_slots, mut slots) = (0usize, 0usize);
-    let (mut inversions, mut pairs) = (0u64, 0u64);
-    let mut max_delta = 0.0f64;
-    for (e, f) in exact_scores.iter().zip(&fused_scores) {
-        let te = top_k(e, K);
-        let tf = top_k(f, K);
-        overlap_slots += te.iter().filter(|i| tf.contains(i)).count();
-        slots += te.len();
-        let (inv, p) = inversion_rate(e, f);
-        inversions += inv;
-        pairs += p;
-        for (&a, &b) in e.iter().zip(f) {
-            max_delta = max_delta.max((a as f64 - b as f64).abs());
+    let scorer = model.batch_scorer_with(true);
+    let served = scorer.score_cases(&cases);
+    let (mut total, mut differing, mut max_delta) = (0usize, 0usize, 0.0f64);
+    for ((group, items), got) in cases.iter().zip(&served) {
+        let want = model.score_group_items(*group, items);
+        for (&a, &b) in want.iter().zip(got) {
+            total += 1;
+            if a.to_bits() != b.to_bits() {
+                differing += 1;
+                max_delta = max_delta.max((a as f64 - b as f64).abs());
+            }
         }
     }
 
-    // protocol-level metric deltas under the sampled-negative eval
-    let ecfg = EvalConfig { k: K, num_negatives: Some(100), seed: 0xe7a1 };
-    let exact_summary = model.evaluate_batched_with(&exact, &test, &ecfg);
-    let fused_summary = model.evaluate_batched_with(&fused, &test, &ecfg);
+    // the sampled-negative protocol, batched vs per-case
+    let ecfg = EvalConfig { k: 5, num_negatives: Some(100), seed: 0xe7a1 };
+    let batched = model.evaluate_batched_with(&scorer, &test, &ecfg);
+    let per_case = model.evaluate(&test, &ecfg);
+    let metrics_equal = batched.recall.to_bits() == per_case.recall.to_bits()
+        && batched.ndcg.to_bits() == per_case.ndcg.to_bits()
+        && batched.hit.to_bits() == per_case.hit.to_bits()
+        && batched.evaluated == per_case.evaluated;
 
-    Measured {
-        topk_overlap: overlap_slots as f64 / slots.max(1) as f64,
-        recall_delta: (exact_summary.recall - fused_summary.recall).abs(),
-        ndcg_delta: (exact_summary.ndcg - fused_summary.ndcg).abs(),
-        inversion_rate: inversions as f64 / pairs.max(1) as f64,
-        max_abs_score_delta: max_delta,
-    }
-}
-
-/// Tolerances with fixed headroom over a baseline measurement — wide
-/// enough that benign cross-platform rounding passes, tight enough that
-/// a wrong-index or wrong-order kernel bug (which moves rankings by
-/// whole percents) cannot.
-fn derive_tolerances(m: &Measured) -> Json {
-    Json::obj(vec![
-        ("min_topk_overlap", Json::Float((m.topk_overlap - 0.05).clamp(0.5, 1.0))),
-        ("max_recall_delta", Json::Float((m.recall_delta * 4.0).max(0.02))),
-        ("max_ndcg_delta", Json::Float((m.ndcg_delta * 4.0).max(0.02))),
-        ("max_inversion_rate", Json::Float((m.inversion_rate * 4.0).max(0.005))),
-    ])
-}
-
-fn write_baseline(path: &Path, m: &Measured) -> Result<(), String> {
-    let payload = Json::obj(vec![
-        ("git_sha", kgag_testkit::bench::git_sha().map(Json::Str).unwrap_or(Json::Null)),
-        ("tier", ScoreTier::FusedF32.as_str().to_json()),
-        ("k", Json::Float(K as f64)),
-        ("tolerances", derive_tolerances(m)),
-        ("measured", m.to_json()),
-    ]);
-    let dir = path.parent().unwrap_or(Path::new("."));
-    let stem = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .ok_or_else(|| format!("bad baseline path {}", path.display()))?;
-    let written = kgag_testkit::json::write_json_file(dir, stem, &payload)
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    println!("accuracy contract written to {}", written.display());
-    Ok(())
-}
-
-fn tolerance(contract: &Json, key: &str, path: &Path) -> Result<f64, String> {
-    contract
-        .get("tolerances")
-        .and_then(|t| t.get(key))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{}: missing tolerances.{key}", path.display()))
-}
-
-fn run() -> Result<bool, String> {
-    let args = parse_args()?;
-    // the CI stage exports KGAG_SCORE_DTYPE=f32; make sure the spelling
-    // actually selects the tier under test before trusting the numbers
-    if std::env::var("KGAG_SCORE_DTYPE").map(|v| !v.is_empty()).unwrap_or(false) {
-        let tier = ScoreTier::from_env();
-        if tier != ScoreTier::FusedF32 {
-            return Err(format!(
-                "KGAG_SCORE_DTYPE is set but resolves to the {} tier — the accuracy \
-                 gate only measures the f32 tier",
-                tier.as_str()
-            ));
-        }
-    }
-    println!("accuracy_check: training the fixed-seed smoke model...");
-    let m = measure();
     println!(
-        "accuracy_check: top-{K} overlap {:.4}, |Δrecall| {:.5}, |Δndcg| {:.5}, \
-         inversion rate {:.6}, max |Δscore| {:.2e}",
-        m.topk_overlap, m.recall_delta, m.ndcg_delta, m.inversion_rate, m.max_abs_score_delta
+        "accuracy_check: {differing}/{total} scores differ, max |Δscore| {max_delta:.2e}; \
+         recall@5 {:.6} ndcg@5 {:.6} (batched) vs {:.6} {:.6} (per-case)",
+        batched.recall, batched.ndcg, per_case.recall, per_case.ndcg
     );
-    if args.write_baseline {
-        write_baseline(&args.baseline, &m)?;
-        return Ok(true);
-    }
-    let text = std::fs::read_to_string(&args.baseline)
-        .map_err(|e| format!("cannot read contract {}: {e}", args.baseline.display()))?;
-    let contract = Json::parse(&text).map_err(|e| format!("{}: {e}", args.baseline.display()))?;
-    let checks = [
-        (
-            "topk_overlap",
-            m.topk_overlap,
-            tolerance(&contract, "min_topk_overlap", &args.baseline)?,
-            true,
-        ),
-        (
-            "recall_delta",
-            m.recall_delta,
-            tolerance(&contract, "max_recall_delta", &args.baseline)?,
-            false,
-        ),
-        (
-            "ndcg_delta",
-            m.ndcg_delta,
-            tolerance(&contract, "max_ndcg_delta", &args.baseline)?,
-            false,
-        ),
-        (
-            "inversion_rate",
-            m.inversion_rate,
-            tolerance(&contract, "max_inversion_rate", &args.baseline)?,
-            false,
-        ),
-    ];
-    let mut violations = 0usize;
-    for (name, measured, bound, is_floor) in checks {
-        let ok = if is_floor { measured >= bound } else { measured <= bound };
-        let rel = if is_floor { ">=" } else { "<=" };
-        let verdict = if ok { "ok" } else { "VIOLATED" };
-        println!("  [{verdict:>8}] {name}: {measured:.6} {rel} {bound:.6}");
-        if !ok {
-            violations += 1;
-        }
-    }
-    if violations > 0 {
+    if differing > 0 || !metrics_equal {
         eprintln!(
-            "\naccuracy_check: {violations} contract violation(s) against {} — if the \
-             kernel change is intentional, refresh with `./ci.sh --accuracy-baseline` \
-             and commit the result.",
-            args.baseline.display()
+            "\naccuracy_check: the engine is not bit-identical to the tape forward — \
+             an engine kernel reorders a sum the tape does not"
         );
         return Ok(false);
     }
-    println!(
-        "\naccuracy_check: f32 tier within the committed contract ({})",
-        args.baseline.display()
-    );
+    println!("\naccuracy_check: engine ≡ tape, bit for bit");
     Ok(true)
 }
 

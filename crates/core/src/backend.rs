@@ -2,7 +2,7 @@
 //!
 //! The propagation block of §III-C used to hard-wire a two-armed
 //! `match` over the paper's aggregators. Every axis that grew around it
-//! — the fused f32 tier, the sharded gather, the ablation binaries —
+//! — the inference engine, the sharded gather, the ablation binaries —
 //! had to reproduce that match. [`PropagationBackend`] is the one seam
 //! they now implement against:
 //!
@@ -18,11 +18,9 @@
 //! * **label smoothness** ([`PropagationBackend::label_smoothness`]):
 //!   whether the trainer adds the KGNN-LS regularizer
 //!   ([`label_smoothness_loss`]) to the combined objective.
-//! * **fused-tier claim** ([`PropagationBackend::fused_aggregation`]):
-//!   which fused f32 kernel plan (if any) mirrors the combine rule.
-//!   Backends without a plan fall back to the exact tier — typed at
-//!   explicit requests, silent-but-counted at env-driven construction
-//!   (see [`crate::ScoreTier::resolve_for`]).
+//! * **engine plan** ([`PropagationBackend::fused_aggregation`]): which
+//!   inference-engine kernel mirrors the combine rule
+//!   ([`crate::infer`]).
 //!
 //! ## The two non-paper backends
 //!
@@ -55,8 +53,8 @@ use crate::model::{ModelParams, PropagationParams};
 use kgag_kg::ReceptiveField;
 use kgag_tensor::{NodeId, Tape, Tensor};
 
-/// The fused f32 kernel plan mirroring a backend's combine rule — what
-/// `InferenceTables` dispatches on instead of matching backend names.
+/// The inference-engine kernel mirroring a backend's combine rule — what
+/// the engine dispatches on instead of matching backend names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FusedAggregation {
     /// Elementwise `e + e_N`, then one `[d, d]` matmul (GCN-shaped).
@@ -102,9 +100,8 @@ pub trait PropagationBackend: Send + Sync {
         false
     }
 
-    /// The fused f32 kernel plan, or `None` when this backend has no
-    /// fused kernels and must score on the exact tier.
-    fn fused_aggregation(&self) -> Option<FusedAggregation>;
+    /// The engine kernel that reproduces [`PropagationBackend::combine`].
+    fn fused_aggregation(&self) -> FusedAggregation;
 }
 
 struct GcnBackend;
@@ -132,8 +129,8 @@ impl PropagationBackend for GcnBackend {
         combine_sum(tape, w, e, e_n)
     }
 
-    fn fused_aggregation(&self) -> Option<FusedAggregation> {
-        Some(FusedAggregation::SumSelf)
+    fn fused_aggregation(&self) -> FusedAggregation {
+        FusedAggregation::SumSelf
     }
 }
 
@@ -151,8 +148,8 @@ impl PropagationBackend for GraphSageBackend {
         tape.matmul(cat, w)
     }
 
-    fn fused_aggregation(&self) -> Option<FusedAggregation> {
-        Some(FusedAggregation::SplitConcat)
+    fn fused_aggregation(&self) -> FusedAggregation {
+        FusedAggregation::SplitConcat
     }
 }
 
@@ -173,10 +170,10 @@ impl PropagationBackend for KgnnLsBackend {
         true
     }
 
-    fn fused_aggregation(&self) -> Option<FusedAggregation> {
+    fn fused_aggregation(&self) -> FusedAggregation {
         // the regularizer is train-only; inference is GCN-shaped and
-        // rides the same fused kernels
-        Some(FusedAggregation::SumSelf)
+        // rides the same kernels
+        FusedAggregation::SumSelf
     }
 }
 
@@ -225,11 +222,10 @@ impl PropagationBackend for InteractionPatternBackend {
         tape.add(member_rep, mix)
     }
 
-    fn fused_aggregation(&self) -> Option<FusedAggregation> {
-        // no fused member-interaction kernel: this backend keeps the
-        // exact tier (ScoreTier::resolve_for falls back, explicit
-        // derive requests get a typed ConvertError::Unsupported)
-        None
+    fn fused_aggregation(&self) -> FusedAggregation {
+        // GCN-shaped propagation; the member mixing has its own engine
+        // step, keyed on the registered mixing parameters
+        FusedAggregation::SumSelf
     }
 }
 
@@ -248,11 +244,6 @@ impl Backend {
             Backend::KgnnLs => &KGNN_LS,
             Backend::InteractionPattern => &INTERACTION,
         }
-    }
-
-    /// Whether this backend has fused f32 kernels (the fast tier).
-    pub fn claims_fused_tier(self) -> bool {
-        self.dispatch().fused_aggregation().is_some()
     }
 }
 
@@ -333,15 +324,15 @@ mod tests {
     }
 
     #[test]
-    fn fused_claims_match_kernel_plans() {
-        assert_eq!(Backend::Gcn.dispatch().fused_aggregation(), Some(FusedAggregation::SumSelf));
-        assert_eq!(
-            Backend::GraphSage.dispatch().fused_aggregation(),
-            Some(FusedAggregation::SplitConcat)
-        );
-        assert_eq!(Backend::KgnnLs.dispatch().fused_aggregation(), Some(FusedAggregation::SumSelf));
-        assert_eq!(Backend::InteractionPattern.dispatch().fused_aggregation(), None);
-        assert!(!Backend::InteractionPattern.claims_fused_tier());
+    fn engine_plans_match_combine_rules() {
+        for b in Backend::all() {
+            let want = if b == Backend::GraphSage {
+                FusedAggregation::SplitConcat
+            } else {
+                FusedAggregation::SumSelf
+            };
+            assert_eq!(b.dispatch().fused_aggregation(), want, "{b:?}");
+        }
     }
 
     #[test]

@@ -1,384 +1,289 @@
-//! The fused f32 scoring tier (DESIGN.md §14).
+//! The inference engine (DESIGN.md §14).
 //!
-//! Serving has two precision tiers behind one seam:
+//! Every serving path — [`crate::BatchScorer`], [`crate::DynamicScorer`],
+//! [`crate::RegistryModel`] and the sharded [`crate::RouterCore`] —
+//! scores through [`Engine`]: the ranking forward of §III-C/D
+//! (relation attention → H-hop propagation → SP/PI attention →
+//! read-out) run on the tape-free kernels of [`kgag_tensor::infer`],
+//! with no tape, no backward bookkeeping and no materialised
+//! `repeat_rows`/`peer_concat`/`concat_cols` copies.
 //!
-//! * **`f64` (default)** — the exact tape engine. Every batched score
-//!   is bit-identical to the per-case path; the golden gate and every
-//!   oracle suite pin this tier.
-//! * **`f32`** — this module. At scorer construction an
-//!   [`InferenceTables`] artifact is derived from the checkpoint:
-//!   entity/relation embeddings re-laid into cache-blocked
-//!   [`BlockedTable`]s (relation rows pre-scaled by the f64-computed
-//!   `1/√d` attention temperature), propagation and attention weights
-//!   sanitised into dense buffers. Scoring then runs the fused kernels
-//!   of [`kgag_tensor::infer`]: no tape, no backward bookkeeping, no
-//!   materialised `repeat_rows`/`peer_concat`/`concat_cols` copies.
+//! The engine is **bit-identical to the tape forward**
+//! ([`Kgag::score_group_items`], which stays the oracle): every output
+//! element is accumulated from the same operands in the same order as
+//! the tape op it replaces. It reads the model's own entity and
+//! relation tensors in place ([`Tables`]); the router hands it compact
+//! tables of shard-gathered rows instead, which are bit-copies of the
+//! same rows.
 //!
-//! The f32 tier is *deterministic* — bit-identical to itself at any
-//! `KGAG_THREADS`, chunk size and cache setting, because every fused
-//! kernel computes each output row from its own instance rows only and
-//! the receptive-field draws are position-independent (same argument as
-//! the exact tier, DESIGN.md §11). Against the exact tier it agrees to
-//! a *ranking* contract, not bit equality: fusion reorders float sums.
-//! The `accuracy_check` CI gate enforces committed tolerances on top-K
-//! overlap, Recall/NDCG deltas and pairwise inversions
-//! (`results/accuracy_contract.json`).
+//! Two per-candidate costs depend on few distinct values, and the
+//! engine pays each once per value instead (both bit-neutral):
 //!
-//! Tier selection: `KGAG_SCORE_DTYPE=f64|f32` read by
-//! [`Kgag::batch_scorer`] / [`Kgag::dynamic_scorer`] (construction
-//! time, never on the scoring path), or [`crate::BatchScorer::with_tier`]
-//! explicitly.
+//! * **Relation logits.** An edge logit is `(q · r_slot) · (1/√d)`. All
+//!   members of an instance share one query (the item), every candidate
+//!   of a case shares another (the group mean), and a KG has a handful
+//!   of relation slots — so logits are memoized per (query, slot),
+//!   filled on first use ([`LogitMemo`]).
+//! * **The deepest receptive-field level.** Level `H` holds most of the
+//!   rows and is read once, by the first iteration's weighted sum; that
+//!   sum reads its rows from the table by id instead of a gathered copy.
 
 use crate::backend::FusedAggregation;
-use crate::config::Backend;
-use crate::trainer::{Kgag, SALT_ITEM, SALT_MEMBER};
-use kgag_kg::{ReceptiveField, RfCache};
-use kgag_tensor::infer::{self as kernels, Activation, BlockedTable, ConvertError};
-use kgag_tensor::pool;
+use crate::config::KgagConfig;
+use crate::model::ModelParams;
+use crate::trainer::Kgag;
+use kgag_kg::ReceptiveField;
+use kgag_tensor::infer::{self as kernels, Activation};
 use kgag_tensor::tensor::sigmoid;
+use kgag_tensor::ParamStore;
 
-/// Which scoring engine a batch scorer runs (`KGAG_SCORE_DTYPE`).
+/// The scoring engine a scorer runs, as reported by its `tier()`.
+/// There is exactly one: the tape-free engine of this module.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ScoreTier {
-    /// The exact tape engine — the bit-identity oracle and the default.
+    /// The bit-exact tape-free [`Engine`].
     #[default]
-    Exact,
-    /// The fused cache-blocked f32 kernels over [`InferenceTables`].
-    FusedF32,
+    Engine,
 }
 
 impl ScoreTier {
-    /// Read `KGAG_SCORE_DTYPE`: unset or `f64` selects the exact tier,
-    /// `f32` the fused tier.
-    ///
-    /// # Panics
-    /// Panics on any other value — tier selection happens at scorer
-    /// construction (process startup for a server), where failing fast
-    /// beats silently serving the wrong precision.
-    pub fn from_env() -> Self {
-        match std::env::var("KGAG_SCORE_DTYPE") {
-            Err(_) => ScoreTier::Exact,
-            Ok(v) => match v.as_str() {
-                "" | "f64" => ScoreTier::Exact,
-                "f32" => ScoreTier::FusedF32,
-                other => panic!("KGAG_SCORE_DTYPE must be 'f64' or 'f32', got '{other}'"),
-            },
-        }
-    }
-
-    /// The `KGAG_SCORE_DTYPE` spelling of this tier.
+    /// The engine's name in reports and logs.
     pub fn as_str(self) -> &'static str {
         match self {
-            ScoreTier::Exact => "f64",
-            ScoreTier::FusedF32 => "f32",
-        }
-    }
-
-    /// The tier a scorer for `backend` actually runs: a fused-tier
-    /// request falls back to [`ScoreTier::Exact`] when the backend has
-    /// no fused kernels (env-driven construction must not panic on a
-    /// tier the backend cannot honour; explicit
-    /// [`crate::BatchScorer::try_with_tier`] requests stay typed).
-    pub fn resolve_for(self, backend: Backend) -> Self {
-        match self {
-            ScoreTier::FusedF32 if !backend.claims_fused_tier() => ScoreTier::Exact,
-            tier => tier,
+            ScoreTier::Engine => "engine",
         }
     }
 }
 
-/// One propagation layer's weights in fused form: GraphSage's
-/// `[2d, d]` concat matmul is split into the self and neighbor halves
-/// so the concatenation is never materialised.
-#[derive(Clone)]
-struct LayerWeights {
-    /// Rows of `W_h` multiplying the node's own representation (`[d, d]`).
-    w_self: Vec<f32>,
-    /// Rows multiplying the aggregated neighborhood (`None` for GCN,
-    /// where both share `w_self` after an elementwise add).
-    w_neigh: Option<Vec<f32>>,
-    /// Layer bias (`[d]`).
-    bias: Vec<f32>,
+/// The two embedding tables the engine gathers from, row-major
+/// `[rows, d]`: the model's own parameter tensors, or compact tables of
+/// shard-gathered rows with ids remapped to match.
+#[derive(Clone, Copy)]
+pub(crate) struct Tables<'t> {
+    pub(crate) entity: &'t [f32],
+    pub(crate) relation: &'t [f32],
 }
 
-/// Attention-tower weights (peer influence, Eq. 10).
-#[derive(Clone)]
-struct AttWeights {
-    /// `W_{c1}` (`[d, d]`).
-    w1: Vec<f32>,
-    /// `W_{c2}` (`[(L−1)·d, d]`), indexed per peer slot as `d×d` blocks.
-    w2: Vec<f32>,
-    /// Bias (`[d]`).
-    bias: Vec<f32>,
-    /// Projection `v_c` (`[d]`).
-    v: Vec<f32>,
+/// One propagation layer's weights. GraphSage's `[2d, d]` concat matmul
+/// is split into its self and neighbor halves so the concatenation is
+/// never materialised; GCN-shaped backends have no neighbor half.
+struct Layer<'w> {
+    w_self: &'w [f32],
+    w_neigh: Option<&'w [f32]>,
+    bias: &'w [f32],
 }
 
-/// The checkpoint-derived artifact of the f32 tier: every parameter the
-/// ranking forward reads, converted once (f64-accumulated, sanitised)
-/// into gather-friendly blocked tables and dense weight buffers. Owns
-/// its data — derived at construction, shared read-only across the
-/// pool's chunk workers.
-pub struct InferenceTables {
+/// The interaction-pattern mixing weights, `[2d, d]` split into the
+/// halves multiplying the member and its peer mean.
+struct Mixing<'w> {
+    w_self: &'w [f32],
+    w_peer: &'w [f32],
+    bias: &'w [f32],
+}
+
+/// The ranking forward over borrowed weights (see the module docs).
+pub(crate) struct Engine<'w> {
     dim: usize,
-    layers: usize,
-    /// The backend's fused kernel plan (backends without one cannot
-    /// derive tables at all — see [`ConvertError::Unsupported`]).
-    fused: FusedAggregation,
     use_kg: bool,
     use_sp: bool,
     use_pi: bool,
-    /// `γ` of the residual combine; 0 disables it (matching the exact
-    /// tier's `residual`/`propagation_weight` pair).
+    /// `γ` of the residual combine; 0 disables it.
     residual_weight: f32,
-    /// The trained nominal group size the PI tower is shaped for.
+    /// The trained group size the PI tower is shaped for.
     nominal_l: usize,
-    /// The f32 attention temperature (`1/√d`), applied to SP/PI scores.
+    /// `1/√d`, the attention temperature of every logit.
     inv_sqrt_d: f32,
-    /// Entity embeddings, blocked (`[|E'|, d]`).
-    entity: BlockedTable,
-    /// Relation embeddings, blocked, pre-scaled by the f64 `1/√d` — the
-    /// propagation softmax temperature folded into the table.
-    relation_scaled: BlockedTable,
-    layer_w: Vec<LayerWeights>,
-    att: AttWeights,
+    layers: Vec<Layer<'w>>,
+    att_w1: &'w [f32],
+    att_w2: &'w [f32],
+    att_b: &'w [f32],
+    att_v: &'w [f32],
+    /// `Some` only under [`crate::Backend::InteractionPattern`].
+    mixing: Option<Mixing<'w>>,
 }
 
-impl InferenceTables {
-    /// Derive the f32 serving artifact from a model's current
-    /// parameters. Fails (typed) on non-finite parameters — a
-    /// checkpoint that cannot be served at reduced precision keeps the
-    /// exact tier.
-    pub fn derive(model: &Kgag) -> Result<Self, ConvertError> {
-        let cfg = model.config();
-        let store = model.store();
-        let p = model.params();
-        let d = cfg.dim;
-        let ent = store.value(p.prop.entity_emb);
-        let entity = BlockedTable::from_rows(ent.rows(), d, ent.data())?;
-        let rel = store.value(p.prop.relation_emb);
-        let relation_scaled =
-            BlockedTable::from_rows_scaled(rel.rows(), d, rel.data(), 1.0 / (d as f64).sqrt())?;
-        Ok(Self::derive_small(model)?.with_tables(entity, relation_scaled))
+impl Kgag {
+    /// The engine over this model's weights.
+    pub(crate) fn engine(&self) -> Engine<'_> {
+        Engine::new(self.store(), self.params(), self.config(), self.group_size())
     }
 
-    /// The weight-only part of [`InferenceTables::derive`]: everything
-    /// except the two big embedding tables, which are left as empty
-    /// placeholders.
-    fn derive_small(model: &Kgag) -> Result<Self, ConvertError> {
-        let cfg = model.config();
-        let store = model.store();
-        let p = model.params();
-        let d = cfg.dim;
-        let fused = cfg
-            .backend
-            .dispatch()
-            .fused_aggregation()
-            .ok_or(ConvertError::Unsupported(cfg.backend.tag()))?;
-        let mut layer_w = Vec::with_capacity(cfg.layers);
-        for h in 0..cfg.layers {
-            let w = store.value(p.prop.layer_w[h]);
-            let b = store.value(p.prop.layer_b[h]);
-            let dense = kernels::sanitize_dense(w.rows(), d, w.data())?;
-            let (w_self, w_neigh) = match fused {
-                FusedAggregation::SumSelf => (dense, None),
-                FusedAggregation::SplitConcat => {
-                    let (top, bottom) = dense.split_at(d * d);
-                    (top.to_vec(), Some(bottom.to_vec()))
-                }
-            };
-            layer_w.push(LayerWeights {
-                w_self,
-                w_neigh,
-                bias: kernels::sanitize_dense(1, d, b.data())?,
-            });
-        }
-        let w1 = store.value(p.att_w1);
-        let w2 = store.value(p.att_w2);
-        let att = AttWeights {
-            w1: kernels::sanitize_dense(w1.rows(), d, w1.data())?,
-            w2: kernels::sanitize_dense(w2.rows(), d, w2.data())?,
-            bias: kernels::sanitize_dense(1, d, store.value(p.att_b).data())?,
-            v: kernels::sanitize_dense(1, d, store.value(p.att_v).data())?,
-        };
-        Ok(InferenceTables {
-            dim: d,
-            layers: cfg.layers,
-            fused,
-            use_kg: cfg.use_kg,
-            use_sp: cfg.use_sp,
-            use_pi: cfg.use_pi,
-            residual_weight: if cfg.residual { cfg.propagation_weight } else { 0.0 },
-            nominal_l: model.group_size(),
-            inv_sqrt_d: 1.0 / (d as f32).sqrt(),
-            entity: BlockedTable::from_rows(0, d, &[])?,
-            relation_scaled: BlockedTable::from_rows(0, d, &[])?,
-            layer_w,
-            att,
-        })
-    }
-
-    /// A copy of this artifact's weights over *different* blocked
-    /// tables — the scatter-gather router's seam: per chunk it builds
-    /// compact tables from shard-gathered rows ([`BlockedTable`]
-    /// conversion is row-local, so a compact table's rows are
-    /// bit-identical to the matching slices of the full one) and scores
-    /// through the same fused kernels.
-    pub(crate) fn with_tables(
-        &self,
-        entity: BlockedTable,
-        relation_scaled: BlockedTable,
-    ) -> InferenceTables {
-        InferenceTables {
-            dim: self.dim,
-            layers: self.layers,
-            fused: self.fused,
-            use_kg: self.use_kg,
-            use_sp: self.use_sp,
-            use_pi: self.use_pi,
-            residual_weight: self.residual_weight,
-            nominal_l: self.nominal_l,
-            inv_sqrt_d: self.inv_sqrt_d,
-            entity,
-            relation_scaled,
-            layer_w: self.layer_w.clone(),
-            att: self.att.clone(),
+    /// This model's embedding tables, read in place.
+    pub(crate) fn tables(&self) -> Tables<'_> {
+        let p = &self.params().prop;
+        Tables {
+            entity: self.store().value(p.entity_emb).data(),
+            relation: self.store().value(p.relation_emb).data(),
         }
     }
+}
 
-    /// [`InferenceTables::derive`] with the big embedding tables left
-    /// as empty placeholders — what a router that never holds the full
-    /// tables keeps resident (weights only). Table rows arrive per
-    /// chunk via [`InferenceTables::with_tables`]; their sanitisation
-    /// (non-finite checks) consequently happens per chunk, not here.
-    pub(crate) fn derive_weights_only(model: &Kgag) -> Result<Self, ConvertError> {
-        Self::derive_small(model)
-    }
-
-    /// Resident size of the derived artifact in bytes — the table
-    /// traffic denominator of the roofline bench.
-    pub fn bytes(&self) -> usize {
-        let dense: usize = self
+impl<'w> Engine<'w> {
+    /// Borrow the weights `params` names in `store`. The embedding
+    /// tables are not read here: they come with every call.
+    pub(crate) fn new(
+        store: &'w ParamStore,
+        params: &ModelParams,
+        config: &KgagConfig,
+        nominal_l: usize,
+    ) -> Self {
+        let d = config.dim;
+        let split = config.backend.dispatch().fused_aggregation() == FusedAggregation::SplitConcat;
+        let layers = params
+            .prop
             .layer_w
             .iter()
-            .map(|l| l.w_self.len() + l.w_neigh.as_ref().map_or(0, Vec::len) + l.bias.len())
-            .sum::<usize>()
-            + self.att.w1.len()
-            + self.att.w2.len()
-            + self.att.bias.len()
-            + self.att.v.len();
-        self.entity.bytes() + self.relation_scaled.bytes() + dense * std::mem::size_of::<f32>()
+            .zip(&params.prop.layer_b)
+            .map(|(&w, &b)| {
+                let w = store.value(w).data();
+                let (w_self, w_neigh) = if split {
+                    let (top, bottom) = w.split_at(d * d);
+                    (top, Some(bottom))
+                } else {
+                    (w, None)
+                };
+                Layer { w_self, w_neigh, bias: store.value(b).data() }
+            })
+            .collect();
+        let mixing = params.interaction.as_ref().map(|ip| {
+            let (w_self, w_peer) = store.value(ip.w).data().split_at(d * d);
+            Mixing { w_self, w_peer, bias: store.value(ip.b).data() }
+        });
+        Engine {
+            dim: d,
+            use_kg: config.use_kg,
+            use_sp: config.use_sp,
+            use_pi: config.use_pi,
+            residual_weight: if config.residual { config.propagation_weight } else { 0.0 },
+            nominal_l,
+            inv_sqrt_d: 1.0 / (d as f32).sqrt(),
+            layers,
+            att_w1: store.value(params.att_w1).data(),
+            att_w2: store.value(params.att_w2).data(),
+            att_b: store.value(params.att_b).data(),
+            att_v: store.value(params.att_v).data(),
+            mixing,
+        }
     }
 
-    /// Embedding row width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Knowledge-aware representation of `targets` under per-target
-    /// `query` rows — the fused mirror of the exact tier's
-    /// `represent`/`propagate_with`.
-    fn represent(
+    /// Scores of one uniform-`l` chunk of `(group, item)` instances:
+    /// `flat_members` holds `B·l` member entity ids (instance-major),
+    /// `item_ents` the `B` item entity ids, and `fields` their
+    /// `(member, item)` receptive fields — `None` under the KGAG-KG
+    /// ablation. Per-row pure, so chunk boundaries are value-neutral.
+    pub(crate) fn score(
         &self,
-        model: &Kgag,
-        cache: Option<&RfCache>,
-        member_side: bool,
-        targets: &[u32],
-        query: &[f32],
-        rf_scratch: &mut ReceptiveField,
+        tables: Tables<'_>,
+        fields: Option<(&ReceptiveField, &ReceptiveField)>,
+        flat_members: &[u32],
+        item_ents: &[u32],
+        l: usize,
     ) -> Vec<f32> {
-        if !self.use_kg {
-            let mut out = Vec::new();
-            self.entity.gather_into(targets, &mut out);
-            return out;
-        }
-        match cache {
-            Some(cache) => {
-                cache.receptive_field_into(targets, rf_scratch);
-                self.propagate(rf_scratch, query)
+        debug_assert_eq!(flat_members.len(), item_ents.len() * l);
+        debug_assert_eq!(fields.is_some(), self.use_kg);
+        let d = self.dim;
+        let mut m0 = Vec::new();
+        kernels::gather_into(tables.entity, d, flat_members, &mut m0);
+        let mut i0 = Vec::new();
+        kernels::gather_into(tables.entity, d, item_ents, &mut i0);
+        // §III-C queries: the item propagates under the members' mean
+        // zero-order embedding, each member under the item's
+        let (member_rep, item_rep) = match fields {
+            Some((rf_members, rf_items)) => {
+                let mut q_item = Vec::new();
+                kernels::group_mean(&m0, d, l, &mut q_item);
+                let item_rep = self.propagate(tables, rf_items, &q_item, 1);
+                (self.propagate(tables, rf_members, &i0, l), item_rep)
             }
-            None => {
-                let side = if member_side { SALT_MEMBER } else { SALT_ITEM };
-                let rf = model.eval_sampler().receptive_field(
-                    model.collaborative_kg().graph(),
-                    targets,
-                    self.layers,
-                    model.eval_salt() ^ side,
-                );
-                self.propagate(&rf, query)
-            }
-        }
+            None => (m0, i0),
+        };
+        let member_rep = match &self.mixing {
+            Some(mixing) if l >= 2 => self.mix(mixing, member_rep, l),
+            _ => member_rep,
+        };
+        self.aggregate_and_score(&member_rep, &item_rep, l)
     }
 
-    /// Fused propagation (§III-C): relation-attention weights per
-    /// level, then the triangular H-iteration update with the
-    /// matmul+bias+activation epilogue fused per layer.
-    fn propagate(&self, rf: &ReceptiveField, query: &[f32]) -> Vec<f32> {
+    /// Propagation (§III-C) of the field's targets; target `t` reads
+    /// query row `t / rep`. Relation-attention weights per level, then
+    /// the triangular H-iteration update with the bias + activation
+    /// epilogue fused into each layer's matmul.
+    fn propagate(
+        &self,
+        tables: Tables<'_>,
+        rf: &ReceptiveField,
+        query: &[f32],
+        rep: usize,
+    ) -> Vec<f32> {
         let d = self.dim;
-        let k = rf.k;
+        let (k, depth) = (rf.k, rf.depth);
         let n = rf.entities[0].len();
-        debug_assert_eq!(rf.depth, self.layers);
-        debug_assert_eq!(query.len(), n * d);
-        let mut reps: Vec<Vec<f32>> = rf
-            .entities
+        debug_assert_eq!(depth, self.layers.len());
+        debug_assert_eq!(query.len() * rep, n * d);
+        let mut memo = LogitMemo::new(query, d, tables.relation.len() / d);
+        let level_weights: Vec<Vec<f32>> = rf
+            .relations
+            .iter()
+            .map(|rels| {
+                // a level's edges are target-major, and rep consecutive
+                // targets read one query row
+                let mut w = Vec::with_capacity(rels.len());
+                for (q, edges) in rels.chunks(rels.len() / n * rep).enumerate() {
+                    memo.logits_into(q, edges, tables.relation, self.inv_sqrt_d, &mut w);
+                }
+                kernels::softmax_groups_inplace(&mut w, k);
+                w
+            })
+            .collect();
+        // every level but the deepest is rewritten in place; level H is
+        // only ever read, by the weighted sum below
+        let mut reps: Vec<Vec<f32>> = rf.entities[..depth]
             .iter()
             .map(|level| {
                 let mut out = Vec::new();
-                self.entity.gather_into(level, &mut out);
+                kernels::gather_into(tables.entity, d, level, &mut out);
                 out
             })
             .collect();
-        // query- and level- but not iteration-dependent: precompute.
-        // `1/√d` is already folded into the relation table.
-        let mut level_weights: Vec<Vec<f32>> = Vec::with_capacity(self.layers);
-        for rels in &rf.relations {
-            let times = rels.len() / n;
-            let mut w = Vec::new();
-            kernels::gather_row_dot_rep(&self.relation_scaled, rels, query, d, times, &mut w);
-            kernels::softmax_groups_inplace(&mut w, k);
-            level_weights.push(w);
-        }
         let e0 = (self.residual_weight > 0.0).then(|| reps[0].clone());
-        let mut e_n = Vec::new();
-        let mut sum = Vec::new();
-        let mut updated = Vec::new();
-        for h in 0..self.layers {
-            let act = if h + 1 == self.layers { Activation::Tanh } else { Activation::Relu };
-            let lw = &self.layer_w[h];
-            for lvl in 0..(self.layers - h) {
-                kernels::group_weighted_sum(&level_weights[lvl], &reps[lvl + 1], d, k, &mut e_n);
+        let (mut e_n, mut sum, mut updated) = (Vec::new(), Vec::new(), Vec::new());
+        for (h, layer) in self.layers.iter().enumerate() {
+            let act = if h + 1 == depth { Activation::Tanh } else { Activation::Relu };
+            for lvl in 0..depth - h {
+                let w = &level_weights[lvl];
+                if lvl + 1 == depth {
+                    let ids = &rf.entities[depth];
+                    kernels::group_weighted_sum_rows(w, tables.entity, ids, d, k, &mut e_n);
+                } else {
+                    kernels::group_weighted_sum(w, &reps[lvl + 1], d, k, &mut e_n);
+                }
                 let rows = reps[lvl].len() / d;
-                match (self.fused, &lw.w_neigh) {
-                    (FusedAggregation::SumSelf, _) => {
+                match layer.w_neigh {
+                    None => {
                         kernels::add_into(&reps[lvl], &e_n, &mut sum);
                         kernels::matmul_bias_act(
                             &sum,
                             rows,
                             d,
-                            &lw.w_self,
+                            layer.w_self,
                             d,
-                            &lw.bias,
+                            layer.bias,
                             act,
                             &mut updated,
                         );
                     }
-                    (FusedAggregation::SplitConcat, Some(w_neigh)) => {
-                        kernels::matmul2_bias_act(
-                            &reps[lvl],
-                            &e_n,
-                            rows,
-                            d,
-                            &lw.w_self,
-                            w_neigh,
-                            d,
-                            &lw.bias,
-                            act,
-                            &mut updated,
-                        );
-                    }
-                    (FusedAggregation::SplitConcat, None) => {
-                        unreachable!("split-concat backends store split weights")
-                    }
+                    Some(w_neigh) => kernels::matmul2_bias_act(
+                        &reps[lvl],
+                        &e_n,
+                        rows,
+                        d,
+                        layer.w_self,
+                        w_neigh,
+                        d,
+                        layer.bias,
+                        act,
+                        &mut updated,
+                    ),
                 }
                 std::mem::swap(&mut reps[lvl], &mut updated);
             }
@@ -390,132 +295,71 @@ impl InferenceTables {
         out
     }
 
-    /// Score one uniform-`l` chunk of `(group, item)` instances —
-    /// the fused mirror of the exact tier's `forward_group_any` +
-    /// sigmoid read-out. Per-row pure, so chunk boundaries are
-    /// value-neutral.
-    fn score_chunk(
-        &self,
-        model: &Kgag,
-        caches: Option<&(RfCache, RfCache)>,
-        flat_members: &[u32],
-        item_ents: &[u32],
-        l: usize,
-        rf_scratch: &mut ReceptiveField,
-    ) -> Vec<f32> {
-        debug_assert_eq!(flat_members.len(), item_ents.len() * l);
+    /// The interaction-pattern member mixing, in the tape's op order:
+    /// `mean = group_mean(m)`, `peer = mean·(l/(l−1)) + m·(−1/(l−1))`,
+    /// `mix = tanh([m ‖ peer] W + b)`, `m' = m + mix`.
+    fn mix(&self, mixing: &Mixing<'_>, m: Vec<f32>, l: usize) -> Vec<f32> {
         let d = self.dim;
-        let b = item_ents.len();
-        let mut m0 = Vec::new();
-        self.entity.gather_into(flat_members, &mut m0);
-        let mut i0 = Vec::new();
-        self.entity.gather_into(item_ents, &mut i0);
-        // §III-C queries: the item propagates under the members' mean
-        // zero-order embedding, each member under the item's
-        let mut q_item = Vec::new();
-        kernels::group_mean(&m0, d, l, &mut q_item);
-        let item_rep =
-            self.represent(model, caches.map(|c| &c.1), false, item_ents, &q_item, rf_scratch);
-        let mut q_members = Vec::with_capacity(b * l * d);
-        for i in 0..b * l {
-            q_members.extend_from_slice(&i0[(i / l) * d..(i / l + 1) * d]);
-        }
-        let member_rep =
-            self.represent(model, caches.map(|c| &c.0), true, flat_members, &q_members, rf_scratch);
-        self.aggregate_and_score(&member_rep, &item_rep, l, b)
+        let mut mean = Vec::new();
+        kernels::group_mean(&m, d, l, &mut mean);
+        let lf = l as f32;
+        let (s_mean, s_self) = (lf / (lf - 1.0), -1.0 / (lf - 1.0));
+        let peer: Vec<f32> = m
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| mean[(i / (d * l)) * d + i % d] * s_mean + x * s_self)
+            .collect();
+        let mut mix = Vec::new();
+        kernels::matmul2_bias_act(
+            &m,
+            &peer,
+            m.len() / d,
+            d,
+            mixing.w_self,
+            mixing.w_peer,
+            d,
+            mixing.bias,
+            Activation::Tanh,
+            &mut mix,
+        );
+        m.iter().zip(&mix).map(|(&x, &y)| x + y).collect()
     }
 
-    /// [`InferenceTables::score_chunk`] over receptive fields the
-    /// caller already assembled (and, for a sharded router, remapped to
-    /// this artifact's compact id space) — same kernels, same bits.
-    /// `rf_*` are `None` under the KGAG-KG ablation.
-    pub(crate) fn score_chunk_prepared(
-        &self,
-        rf_members: Option<&ReceptiveField>,
-        rf_items: Option<&ReceptiveField>,
-        flat_members: &[u32],
-        item_ents: &[u32],
-        l: usize,
-    ) -> Vec<f32> {
-        debug_assert_eq!(flat_members.len(), item_ents.len() * l);
-        debug_assert_eq!(rf_members.is_some(), self.use_kg);
+    /// Preference aggregation (§III-D) and the sigmoid read-out.
+    fn aggregate_and_score(&self, member_rep: &[f32], item_rep: &[f32], l: usize) -> Vec<f32> {
         let d = self.dim;
-        let b = item_ents.len();
-        let mut m0 = Vec::new();
-        self.entity.gather_into(flat_members, &mut m0);
-        let mut i0 = Vec::new();
-        self.entity.gather_into(item_ents, &mut i0);
-        let mut q_item = Vec::new();
-        kernels::group_mean(&m0, d, l, &mut q_item);
-        let item_rep = self.represent_prepared(rf_items, item_ents, &q_item);
-        let mut q_members = Vec::with_capacity(b * l * d);
-        for i in 0..b * l {
-            q_members.extend_from_slice(&i0[(i / l) * d..(i / l + 1) * d]);
-        }
-        let member_rep = self.represent_prepared(rf_members, flat_members, &q_members);
-        self.aggregate_and_score(&member_rep, &item_rep, l, b)
-    }
-
-    /// The prepared-field mirror of [`InferenceTables::represent`]:
-    /// propagate over the given field, or gather zero-order rows when
-    /// there is none (the KGAG-KG ablation).
-    fn represent_prepared(
-        &self,
-        rf: Option<&ReceptiveField>,
-        targets: &[u32],
-        query: &[f32],
-    ) -> Vec<f32> {
-        match rf {
-            Some(rf) => self.propagate(rf, query),
-            None => {
-                let mut out = Vec::new();
-                self.entity.gather_into(targets, &mut out);
-                out
-            }
-        }
-    }
-
-    /// Preference aggregation (§III-D) and sigmoid read-out — the tail
-    /// shared by [`InferenceTables::score_chunk`] and the prepared-field
-    /// router path.
-    fn aggregate_and_score(
-        &self,
-        member_rep: &[f32],
-        item_rep: &[f32],
-        l: usize,
-        b: usize,
-    ) -> Vec<f32> {
-        let d = self.dim;
+        let b = item_rep.len() / d;
         let sp = self.use_sp.then(|| {
             let mut sp = Vec::new();
-            kernels::row_dot_rep_scaled(&member_rep, &item_rep, d, l, self.inv_sqrt_d, &mut sp);
+            kernels::row_dot_rep_scaled(member_rep, item_rep, d, l, self.inv_sqrt_d, &mut sp);
             sp
         });
         // the PI tower is shape-tied to the trained size; off-nominal
-        // rosters score SP-only, exactly like the exact tier
+        // rosters score SP-only, exactly like the tape
         let pi = (self.use_pi && l == self.nominal_l && l >= 2).then(|| {
+            let member = |g: usize, m: usize| &member_rep[(g * l + m) * d..(g * l + m + 1) * d];
+            let (mut h1, mut h2) = (vec![0.0f32; d], vec![0.0f32; d]);
             let mut pi = Vec::with_capacity(b * l);
-            let mut hidden = vec![0.0f32; d];
             for g in 0..b {
                 for j in 0..l {
-                    hidden.clear();
-                    hidden.resize(d, 0.0);
-                    let member = |m: usize| &member_rep[(g * l + m) * d..(g * l + m + 1) * d];
-                    kernels::accumulate_row(member(j), &self.att.w1, d, &mut hidden);
+                    // the tape runs m·W₁ and peers·W₂ as two matmuls and
+                    // adds them after, so they keep separate accumulators
+                    h1.fill(0.0);
+                    h2.fill(0.0);
+                    kernels::accumulate_row(member(g, j), self.att_w1, d, &mut h1);
                     // peer slot q holds the q-th other member in
                     // ascending order — W₂'s d×d block q multiplies it
                     for q in 0..l - 1 {
                         let p = if q < j { q } else { q + 1 };
-                        kernels::accumulate_row(
-                            member(p),
-                            &self.att.w2[q * d * d..(q + 1) * d * d],
-                            d,
-                            &mut hidden,
-                        );
+                        let w2 = &self.att_w2[q * d * d..(q + 1) * d * d];
+                        kernels::accumulate_row(member(g, p), w2, d, &mut h2);
                     }
                     let mut raw = 0.0f32;
-                    for (c, (&h, &bias)) in hidden.iter().zip(&self.att.bias).enumerate() {
-                        raw += (h + bias).max(0.0) * self.att.v[c];
+                    for c in 0..d {
+                        let act = ((h1[c] + h2[c]) + self.att_b[c]).max(0.0);
+                        if act != 0.0 {
+                            raw += act * self.att_v[c];
+                        }
                     }
                     pi.push(raw * self.inv_sqrt_d);
                 }
@@ -535,91 +379,79 @@ impl InferenceTables {
         };
         kernels::softmax_groups_inplace(&mut alpha, l);
         let mut group_rep = Vec::new();
-        kernels::group_weighted_sum(&alpha, &member_rep, d, l, &mut group_rep);
-        (0..b)
-            .map(|g| {
-                sigmoid(kernels::dot_f32(
-                    &group_rep[g * d..(g + 1) * d],
-                    &item_rep[g * d..(g + 1) * d],
-                ))
-            })
+        kernels::group_weighted_sum(&alpha, member_rep, d, l, &mut group_rep);
+        group_rep
+            .chunks(d)
+            .zip(item_rep.chunks(d))
+            .map(|(g, i)| sigmoid(kernels::dot_f32(g, i)))
             .collect()
     }
 }
 
-/// The f32 twin of `score_cases_with`: identical case flattening,
-/// L-bucketing and chunking (so mixed-size batches stay
-/// chunking-invariant), with each chunk forwarded through the fused
-/// kernels instead of the tape.
-pub(crate) fn score_cases_f32(
-    model: &Kgag,
-    tables: &InferenceTables,
-    caches: Option<&(RfCache, RfCache)>,
-    batch_instances: usize,
-    member_ents: &[Vec<u32>],
-    cases: &[(u32, Vec<u32>)],
-) -> Vec<Vec<f32>> {
-    debug_assert_eq!(member_ents.len(), cases.len());
-    let mut buckets: std::collections::BTreeMap<usize, Vec<(u32, u32)>> =
-        std::collections::BTreeMap::new();
-    let mut total = 0usize;
-    for (ci, (_, items)) in cases.iter().enumerate() {
-        let bucket = buckets.entry(member_ents[ci].len()).or_default();
-        for ent in model.item_entities(items) {
-            bucket.push((ci as u32, ent));
-        }
-        total += items.len();
-    }
-    if kgag_obs::enabled() {
-        kgag_obs::counter("infer.f32_items_scored").add(total as u64);
-        kgag_obs::counter("infer.f32_batches").add(1);
-    }
-    let mut out: Vec<Vec<f32>> =
-        cases.iter().map(|(_, items)| Vec::with_capacity(items.len())).collect();
-    for (l, instances) in &buckets {
-        let l = *l;
-        // same load-balance chunking as the exact tier; bit-neutral here
-        // too because every fused kernel is per-row pure
-        let per_worker = instances.len().div_ceil(pool::num_threads() * 4).max(1);
-        let chunk_size = per_worker.min(batch_instances);
-        let chunks: Vec<&[(u32, u32)]> = instances.chunks(chunk_size).collect();
-        let scored = pool::par_map(&chunks, |_, chunk| {
-            let mut flat_members = Vec::with_capacity(chunk.len() * l);
-            let mut item_ents = Vec::with_capacity(chunk.len());
-            for &(ci, ent) in *chunk {
-                flat_members.extend_from_slice(&member_ents[ci as usize]);
-                item_ents.push(ent);
-            }
-            let mut rf_scratch =
-                ReceptiveField { entities: Vec::new(), relations: Vec::new(), k: 0, depth: 0 };
-            tables.score_chunk(model, caches, &flat_members, &item_ents, l, &mut rf_scratch)
-        });
-        for (&(ci, _), s) in instances.iter().zip(scored.into_iter().flatten()) {
-            out[ci as usize].push(s);
-        }
-    }
-    out
+/// Memo entries above which a propagation computes its logits directly
+/// (a KG with very many relation slots would otherwise allocate a
+/// table far larger than the edges it serves).
+const MEMO_MAX_ENTRIES: usize = 1 << 16;
+
+/// Relation-attention logits `(q · r_slot) · (1/√d)` memoized per
+/// (query, relation slot) and filled on first use, so a propagation
+/// computes at most one dot per distinct pair — never more than one per
+/// edge. Consecutive bitwise-equal query rows (every candidate of one
+/// case shares its group mean) share one memo row. A cached logit is the
+/// very value the dot would recompute, so the memo is bit-neutral.
+struct LogitMemo<'q> {
+    query: &'q [f32],
+    dim: usize,
+    slots: usize,
+    /// Memo row of each query row.
+    row_of: Vec<u32>,
+    /// `rows × slots` logits, NaN where not yet computed; empty when the
+    /// table would exceed [`MEMO_MAX_ENTRIES`].
+    logits: Vec<f32>,
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tier_env_spellings() {
-        assert_eq!(ScoreTier::Exact.as_str(), "f64");
-        assert_eq!(ScoreTier::FusedF32.as_str(), "f32");
-        assert_eq!(ScoreTier::default(), ScoreTier::Exact);
+impl<'q> LogitMemo<'q> {
+    fn new(query: &'q [f32], dim: usize, slots: usize) -> Self {
+        let rows: Vec<&[f32]> = query.chunks(dim).collect();
+        let mut row_of = Vec::with_capacity(rows.len());
+        let mut distinct = 0u32;
+        for (i, q) in rows.iter().enumerate() {
+            let same = i > 0 && q.iter().zip(rows[i - 1]).all(|(a, b)| a.to_bits() == b.to_bits());
+            if !same {
+                distinct += 1;
+            }
+            row_of.push(distinct - 1);
+        }
+        let entries = distinct as usize * slots;
+        let logits = if entries <= MEMO_MAX_ENTRIES { vec![f32::NAN; entries] } else { Vec::new() };
+        LogitMemo { query, dim, slots, row_of, logits }
     }
 
-    #[test]
-    fn fused_requests_fall_back_for_unfused_backends() {
-        assert_eq!(ScoreTier::FusedF32.resolve_for(Backend::Gcn), ScoreTier::FusedF32);
-        assert_eq!(ScoreTier::FusedF32.resolve_for(Backend::GraphSage), ScoreTier::FusedF32);
-        assert_eq!(ScoreTier::FusedF32.resolve_for(Backend::KgnnLs), ScoreTier::FusedF32);
-        assert_eq!(ScoreTier::FusedF32.resolve_for(Backend::InteractionPattern), ScoreTier::Exact);
-        for b in Backend::all() {
-            assert_eq!(ScoreTier::Exact.resolve_for(b), ScoreTier::Exact, "{b:?}");
+    /// Append the logits of query row `q` against each relation slot in
+    /// `slots` to `out`.
+    fn logits_into(
+        &mut self,
+        q: usize,
+        slots: &[u32],
+        relation: &[f32],
+        inv_sqrt_d: f32,
+        out: &mut Vec<f32>,
+    ) {
+        let d = self.dim;
+        let query = &self.query[q * d..(q + 1) * d];
+        let logit =
+            |slot: u32| kernels::dot_f32(kernels::row(relation, d, slot), query) * inv_sqrt_d;
+        if self.logits.is_empty() {
+            out.extend(slots.iter().map(|&slot| logit(slot)));
+            return;
+        }
+        let memo = &mut self.logits[self.row_of[q] as usize * self.slots..][..self.slots];
+        for &slot in slots {
+            let cached = &mut memo[slot as usize];
+            if cached.is_nan() {
+                *cached = logit(slot);
+            }
+            out.push(*cached);
         }
     }
 }

@@ -32,12 +32,10 @@
 //! the wire protocol live in `kgag-serve`, which composes them around
 //! this state machine.
 
-use crate::batch::score_cases_with;
+use crate::batch::{env_batch_instances, score_local};
 use crate::dynamic::ColdStartError;
-use crate::infer::{score_cases_f32, InferenceTables, ScoreTier};
 use crate::trainer::Kgag;
 use kgag_kg::RfCache;
-use kgag_tensor::infer::ConvertError;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
@@ -102,15 +100,13 @@ impl std::error::Error for RegistryError {}
 /// One registry entry: an owned checkpoint with its scoring state.
 ///
 /// Unlike [`crate::BatchScorer`] (which borrows a [`Kgag`]), a
-/// `RegistryModel` *owns* its model, receptive-field caches and
-/// optional f32 tables, so entries can be loaded and retired at runtime
-/// without a borrow tying them to the process lifetime. Scoring goes
-/// through the same `score_cases_with` / `score_cases_f32` kernels as
-/// every other engine — same chunking, same bits.
+/// `RegistryModel` *owns* its model and receptive-field caches, so
+/// entries can be loaded and retired at runtime without a borrow tying
+/// them to the process lifetime. Scoring goes through the same engine
+/// and driver as every other scorer — same chunking, same bits.
 pub struct RegistryModel {
     model: Kgag,
     caches: Option<(RfCache, RfCache)>,
-    tables: Option<InferenceTables>,
     hash: u64,
     batch_instances: usize,
 }
@@ -119,50 +115,31 @@ impl std::fmt::Debug for RegistryModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegistryModel")
             .field("hash", &format_args!("{:016x}", self.hash))
-            .field("tier", &self.tier())
             .field("cached", &self.caches.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl RegistryModel {
-    /// Build an entry with explicit cache and tier choices. `hash` is
-    /// the checkpoint's [`checkpoint_hash`] (callers that trained the
+    /// Build an entry with the receptive-field cache on or off. `hash`
+    /// is the checkpoint's [`checkpoint_hash`] (callers that trained the
     /// model in-process hash `model.save_checkpoint()`).
-    pub fn try_new(
-        model: Kgag,
-        hash: u64,
-        cache: bool,
-        tier: ScoreTier,
-    ) -> Result<Self, ConvertError> {
+    pub fn new(model: Kgag, hash: u64, cache: bool) -> Self {
         let caches = model.eval_rf_caches(cache);
-        let tables = match tier {
-            ScoreTier::Exact => None,
-            ScoreTier::FusedF32 => Some(InferenceTables::derive(&model)?),
-        };
-        Ok(RegistryModel { model, caches, tables, hash, batch_instances: 256 })
+        RegistryModel { model, caches, hash, batch_instances: 256 }
     }
 
     /// An entry configured from the environment — same knobs as
-    /// [`Kgag::batch_scorer`] (`KGAG_RF_CACHE`, `KGAG_SCORE_DTYPE`,
-    /// `KGAG_EVAL_BATCH`), so a registry entry scores bit-identically
-    /// to the single-model serve path under any CI sweep.
-    ///
-    /// # Panics
-    /// Panics when `KGAG_SCORE_DTYPE=f32` and the checkpoint is not
-    /// convertible — use [`RegistryModel::try_new`] to handle that as a
-    /// value.
+    /// [`Kgag::batch_scorer`] (`KGAG_RF_CACHE`, `KGAG_EVAL_BATCH`), so a
+    /// registry entry scores bit-identically to the single-model serve
+    /// path under any CI sweep.
     pub fn from_env(model: Kgag, hash: u64) -> Self {
         let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-        let tier = ScoreTier::from_env().resolve_for(model.config().backend);
-        let mut entry = Self::try_new(model, hash, cache, tier)
-            .expect("checkpoint not convertible to the f32 tier");
-        if let Some(n) = std::env::var("KGAG_EVAL_BATCH").ok().and_then(|v| v.parse().ok()) {
-            if n > 0 {
-                entry.batch_instances = n;
-            }
+        let entry = Self::new(model, hash, cache);
+        match env_batch_instances() {
+            Some(n) => entry.with_batch_instances(n),
+            None => entry,
         }
-        entry
     }
 
     /// Override the instances-per-chunk cap (bit-neutral; see
@@ -179,15 +156,6 @@ impl RegistryModel {
     /// The checkpoint content hash this entry is keyed by.
     pub fn hash(&self) -> u64 {
         self.hash
-    }
-
-    /// The scoring tier in force.
-    pub fn tier(&self) -> ScoreTier {
-        if self.tables.is_some() {
-            ScoreTier::FusedF32
-        } else {
-            ScoreTier::Exact
-        }
     }
 
     /// Catalog size of the owned checkpoint.
@@ -221,23 +189,13 @@ impl RegistryModel {
         }
         let member_ents: Vec<Vec<u32>> =
             cases.iter().map(|&(g, _)| self.model.member_entities(g)).collect();
-        Ok(match &self.tables {
-            Some(tables) => score_cases_f32(
-                &self.model,
-                tables,
-                self.caches.as_ref(),
-                self.batch_instances,
-                &member_ents,
-                cases,
-            ),
-            None => score_cases_with(
-                &self.model,
-                self.caches.as_ref(),
-                self.batch_instances,
-                &member_ents,
-                cases,
-            ),
-        })
+        Ok(score_local(
+            &self.model,
+            self.caches.as_ref(),
+            self.batch_instances,
+            &member_ents,
+            cases,
+        ))
     }
 }
 
@@ -538,7 +496,7 @@ mod tests {
         let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
         let split = split_dataset(&ds, 11);
         let model = Kgag::new(&ds, &split, KgagConfig::default());
-        RegistryModel::try_new(model, hash, true, ScoreTier::Exact).unwrap()
+        RegistryModel::new(model, hash, true)
     }
 
     fn prove(reg: &ModelRegistry, tenant: u32, hash: u64, n: u64) {
@@ -566,8 +524,7 @@ mod tests {
             scorer.score_cases(&[(0, vec![0, 1, 2]), (1, vec![3, 4])])
         };
         let bytes = model.save_checkpoint();
-        let entry =
-            RegistryModel::try_new(model, checkpoint_hash(&bytes), true, ScoreTier::Exact).unwrap();
+        let entry = RegistryModel::new(model, checkpoint_hash(&bytes), true);
         let got = entry.score_cases(&[(0, vec![0, 1, 2]), (1, vec![3, 4])]).unwrap();
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {

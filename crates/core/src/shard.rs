@@ -16,17 +16,14 @@
 //!    entity's own adjacency row, so a shard reproduces the single-node
 //!    draw exactly (proven in `kgag_kg::partition` tests).
 //! 2. *Gathers are exact.* Shards return raw f32 table rows; the router
-//!    assembles a compact table whose rows are bit-copies of the full
-//!    table's rows. On the f32 tier the `BlockedTable` conversion is
-//!    row-local (one f64-scaled rounding per element), so converting
-//!    gathered rows equals slicing the converted full table.
-//! 3. *The reduction order is the tape's.* The router remaps global ids
-//!    to a dense per-chunk id space and calls the shared forward
-//!    (`forward_group_prepared` on the exact tier,
-//!    `InferenceTables::score_chunk_prepared` on the fused tier). Every
-//!    tape op / fused kernel computes each output row purely from its
-//!    own instance's rows, so the compact renaming and any chunking are
-//!    value-neutral.
+//!    assembles compact tables whose rows are bit-copies of the full
+//!    tables' rows.
+//! 3. *The reduction order is the engine's.* The router remaps global
+//!    ids to a dense per-chunk id space and scores through the same
+//!    inference engine and chunk driver as the single-node scorers
+//!    ([`crate::infer`], `score_bucketed`). Every engine kernel
+//!    computes each output row purely from its own instance's rows, so
+//!    the compact renaming and any chunking are value-neutral.
 //!
 //! ## Failure semantics
 //!
@@ -35,18 +32,20 @@
 //! [`RouterCore::score_cases`] retries each of those cases in isolation
 //! so a request is answered with an error *only if its own receptive
 //! field needs the dead shard* — and the retry is bit-identical to the
-//! joint pass (chunking is value-neutral). The router never panics on a
-//! peer failure.
+//! joint pass (chunking is value-neutral). A peer row that is not
+//! finite is a malformed reply ([`ShardErrorKind::Protocol`]) and fails
+//! the same way. The router never panics on peer data or on its inputs:
+//! an out-of-range group or item id fails its case with
+//! [`ShardErrorKind::Invalid`].
 
+use crate::batch::{env_batch_instances, score_bucketed};
 use crate::config::KgagConfig;
-use crate::infer::{InferenceTables, ScoreTier};
-use crate::model::{ModelParams, PropagationParams};
-use crate::trainer::{forward_group_prepared, Kgag, SALT_ITEM, SALT_MEMBER};
+use crate::infer::{Engine, ScoreTier, Tables};
+use crate::model::ModelParams;
+use crate::trainer::{Kgag, SALT_ITEM, SALT_MEMBER};
 use kgag_kg::{Partition, ReceptiveField, ShardState};
-use kgag_tensor::infer::BlockedTable;
-use kgag_tensor::tensor::sigmoid;
-use kgag_tensor::{pool, ParamStore, Tape, Tensor};
-use std::collections::{BTreeMap, HashMap};
+use kgag_tensor::{ParamStore, Tensor};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -57,8 +56,12 @@ pub enum ShardErrorKind {
     Unavailable,
     /// The peer did not answer within the configured deadline.
     Timeout,
-    /// The peer answered with a malformed or mismatched frame.
+    /// The peer answered with a malformed or mismatched frame, or with
+    /// rows that are not finite.
     Protocol,
+    /// The request named a group or item outside the router's tables —
+    /// a caller error, attributed to no peer (`shard` is 0).
+    Invalid,
 }
 
 /// A typed per-shard failure — the only error the scatter-gather path
@@ -77,6 +80,7 @@ impl fmt::Display for ShardError {
             ShardErrorKind::Unavailable => write!(f, "shard {} unavailable", self.shard),
             ShardErrorKind::Timeout => write!(f, "shard {} timed out", self.shard),
             ShardErrorKind::Protocol => write!(f, "shard {} protocol error", self.shard),
+            ShardErrorKind::Invalid => write!(f, "group or item id out of range"),
         }
     }
 }
@@ -106,6 +110,13 @@ pub trait ShardFetch: Sync {
 
     /// Relation embedding rows for global `ids`, in query order.
     fn fetch_relation_rows(&self, ids: &[u32]) -> Result<Vec<f32>, ShardError>;
+
+    /// Peers the tables are split across — what the router attributes
+    /// a malformed row to (the owner under an even [`Partition`]).
+    /// Fetchers that do not say are taken as one peer.
+    fn shard_count(&self) -> usize {
+        1
+    }
 }
 
 /// An in-process [`ShardFetch`] over a full set of [`ShardState`]s —
@@ -194,6 +205,10 @@ impl ShardFetch for LocalFetch {
         let part = self.shards[0].relation_partition();
         Ok(self.scatter_rows(part, ids, |s, ids, out| s.gather_relation_rows(ids, out), dim))
     }
+
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
 }
 
 /// Per-(salt, level, entity) memo of keyed draws — the router-side
@@ -205,7 +220,7 @@ type DrawMemo = Mutex<HashMap<(u64, u32, u32), (Box<[u32]>, Box<[u32]>)>>;
 
 /// The router half of sharded scoring: holds every small tensor plus
 /// the id mappings, fetches draws and rows through a [`ShardFetch`],
-/// and scores chunks locally through the shared single-node kernels.
+/// and scores chunks locally through the single-node engine.
 /// Detached from the model (owns clones), so serving can drop the
 /// trained [`Kgag`] — and its big tables — entirely.
 pub struct RouterCore {
@@ -220,27 +235,17 @@ pub struct RouterCore {
     sampler_k: usize,
     num_entities: usize,
     num_relation_slots: usize,
-    layer_w: Vec<Tensor>,
-    layer_b: Vec<Tensor>,
-    att_w1: Tensor,
-    att_w2: Tensor,
-    att_b: Tensor,
-    att_v: Tensor,
-    /// `(ip_w, ip_b)` of the interaction-pattern mixing pass — `Some`
-    /// only when the detached model's backend registers them.
-    interaction: Option<(Tensor, Tensor)>,
-    /// `Some` scores on the fused f32 tier: a weights-only
-    /// [`InferenceTables`] template whose embedding tables are swapped
-    /// per chunk for compact gathered ones.
-    tables: Option<InferenceTables>,
+    /// Clones of the layer, attention and mixing weights; the embedding
+    /// tables are registered empty and arrive per chunk from the shards.
+    weights: ParamStore,
+    params: ModelParams,
     batch_instances: usize,
     memo: Option<DrawMemo>,
 }
 
 impl Kgag {
     /// Extract shard `index` of `count` for this model — the tables and
-    /// CSR rows a shard process holds (tier-agnostic: rows are the raw
-    /// f32 parameters; the router applies any tier conversion).
+    /// CSR rows a shard process holds (raw f32 parameter rows).
     pub fn shard_state(&self, index: usize, count: usize) -> ShardState {
         let p = self.params();
         ShardState::extract(
@@ -255,38 +260,42 @@ impl Kgag {
     }
 
     /// A [`RouterCore`] configured from the environment, mirroring
-    /// [`Kgag::batch_scorer`]: `KGAG_RF_CACHE=0` disables the draw memo,
-    /// `KGAG_EVAL_BATCH` overrides the chunk cap and
-    /// `KGAG_SCORE_DTYPE=f32` selects the fused tier.
+    /// [`Kgag::batch_scorer`]: `KGAG_RF_CACHE=0` disables the draw memo
+    /// and `KGAG_EVAL_BATCH` overrides the chunk cap.
     pub fn router_core(&self) -> RouterCore {
         let memo = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-        let tier = ScoreTier::from_env().resolve_for(self.config().backend);
-        let core = RouterCore::from_model(self, tier, memo);
-        match std::env::var("KGAG_EVAL_BATCH").ok().and_then(|v| v.parse().ok()) {
-            Some(n) if n > 0 => core.with_batch_instances(n),
-            _ => core,
+        let core = RouterCore::from_model(self, memo);
+        match env_batch_instances() {
+            Some(n) => core.with_batch_instances(n),
+            None => core,
         }
     }
 }
 
 impl RouterCore {
-    /// Detach a router from a trained model at an explicit tier, with
-    /// the draw memo on or off (the knobs the equivalence suite sweeps).
-    ///
-    /// # Panics
-    /// Panics when `tier` is [`ScoreTier::FusedF32`] and the small
-    /// weights cannot be converted (non-finite parameters).
-    pub fn from_model(model: &Kgag, tier: ScoreTier, memo: bool) -> Self {
+    /// Detach a router from a trained model, with the draw memo on or
+    /// off (the knob the equivalence suite sweeps).
+    pub fn from_model(model: &Kgag, memo: bool) -> Self {
         let store = model.store();
         let p = model.params();
         let ckg = model.collaborative_kg();
-        let tables = match tier {
-            ScoreTier::Exact => None,
-            ScoreTier::FusedF32 => Some(
-                InferenceTables::derive_weights_only(model)
-                    .expect("checkpoint not convertible to the f32 tier"),
-            ),
-        };
+        let d = model.config().dim;
+        let mut weights = ParamStore::new();
+        let mut copy = |name: &str, id| weights.register(name, store.value(id).clone());
+        let mut prop = p.prop.clone();
+        for (h, (w, b)) in prop.layer_w.iter_mut().zip(&mut prop.layer_b).enumerate() {
+            *w = copy(&format!("layer_{h}_w"), *w);
+            *b = copy(&format!("layer_{h}_b"), *b);
+        }
+        let (att_w1, att_w2) = (copy("att_w1", p.att_w1), copy("att_w2", p.att_w2));
+        let (att_b, att_v) = (copy("att_b", p.att_b), copy("att_v", p.att_v));
+        let interaction = p.interaction.as_ref().map(|ip| crate::model::InteractionParams {
+            w: copy("ip_w", ip.w),
+            b: copy("ip_b", ip.b),
+        });
+        prop.entity_emb = weights.register("entity_emb", Tensor::zeros(0, d));
+        prop.relation_emb = weights.register("relation_emb", Tensor::zeros(0, d));
+        let params = ModelParams { prop, att_w1, att_w2, att_b, att_v, interaction };
         let member_ents_by_group =
             (0..model.groups().len() as u32).map(|g| model.member_entities(g)).collect();
         RouterCore {
@@ -299,17 +308,8 @@ impl RouterCore {
             sampler_k: model.eval_sampler().k(),
             num_entities: ckg.num_entities(),
             num_relation_slots: ckg.num_relation_slots(),
-            layer_w: p.prop.layer_w.iter().map(|&id| store.value(id).clone()).collect(),
-            layer_b: p.prop.layer_b.iter().map(|&id| store.value(id).clone()).collect(),
-            att_w1: store.value(p.att_w1).clone(),
-            att_w2: store.value(p.att_w2).clone(),
-            att_b: store.value(p.att_b).clone(),
-            att_v: store.value(p.att_v).clone(),
-            interaction: p
-                .interaction
-                .as_ref()
-                .map(|ip| (store.value(ip.w).clone(), store.value(ip.b).clone())),
-            tables,
+            weights,
+            params,
             batch_instances: 256,
             memo: (memo && model.config().use_kg).then(|| Mutex::new(HashMap::new())),
         }
@@ -326,13 +326,9 @@ impl RouterCore {
         self
     }
 
-    /// The scoring tier in force.
+    /// The scoring engine in force (there is one).
     pub fn tier(&self) -> ScoreTier {
-        if self.tables.is_some() {
-            ScoreTier::FusedF32
-        } else {
-            ScoreTier::Exact
-        }
+        ScoreTier::Engine
     }
 
     /// Whether the draw memo is active.
@@ -387,226 +383,150 @@ impl RouterCore {
     }
 
     /// Score a batch of `(group, candidate items)` cases through
-    /// `fetch`, bit-identical on the exact tier to
-    /// [`crate::BatchScorer::score_cases`] (and self-identical across
-    /// shard counts on the fused tier).
+    /// `fetch`, bit-identical to [`crate::BatchScorer::score_cases`].
     ///
     /// Each case's result is `Ok(scores aligned with its items)` or the
     /// typed [`ShardError`] that prevented scoring it. Chunks are scored
     /// jointly; when a chunk fails, its cases are retried in isolation
     /// so only requests whose receptive field truly needs the failed
     /// shard surface the error (bit-identical either way — chunking is
-    /// value-neutral).
-    ///
-    /// # Panics
-    /// Panics when a group id or item id is out of range (the serving
-    /// layer validates these into typed request errors first).
+    /// value-neutral). A case naming a group or item out of range fails
+    /// alone with [`ShardErrorKind::Invalid`].
     pub fn score_cases<F: ShardFetch>(
         &self,
         fetch: &F,
         cases: &[(u32, Vec<u32>)],
     ) -> Vec<Result<Vec<f32>, ShardError>> {
-        let member_ents: Vec<&[u32]> = cases
+        let in_range = |(g, items): &(u32, Vec<u32>)| {
+            *g < self.num_groups() && items.iter().all(|&v| v < self.num_items)
+        };
+        if cases.iter().all(in_range) {
+            return self.score_in_range(fetch, cases);
+        }
+        let valid: Vec<(u32, Vec<u32>)> = cases.iter().filter(|c| in_range(c)).cloned().collect();
+        let mut scored = self.score_in_range(fetch, &valid).into_iter();
+        let invalid = ShardError { shard: 0, kind: ShardErrorKind::Invalid };
+        cases
             .iter()
-            .map(|&(g, _)| {
-                assert!(g < self.num_groups(), "group {g} out of {}", self.num_groups());
-                self.member_ents_by_group[g as usize].as_slice()
-            })
-            .collect();
-        // flatten to (case, item entity) instances bucketed by member
-        // count, exactly like the single-node kernel
-        let mut buckets: BTreeMap<usize, Vec<(u32, u32)>> = BTreeMap::new();
-        for (ci, (_, items)) in cases.iter().enumerate() {
-            let bucket = buckets.entry(member_ents[ci].len()).or_default();
-            for &v in items {
-                assert!(v < self.num_items, "item {v} out of {}", self.num_items);
-                bucket.push((ci as u32, self.item_entity[v as usize]));
-            }
-        }
-        let mut out: Vec<Result<Vec<f32>, ShardError>> =
-            cases.iter().map(|(_, items)| Ok(Vec::with_capacity(items.len()))).collect();
-        let mut retry: Vec<usize> = Vec::new();
-        for (l, instances) in &buckets {
-            let l = *l;
-            // same chunking formula as the single-node kernel — the
-            // boundaries don't affect bits, only load balance
-            let per_worker = instances.len().div_ceil(pool::num_threads() * 4).max(1);
-            let chunk_size = per_worker.min(self.batch_instances);
-            let chunks: Vec<&[(u32, u32)]> = instances.chunks(chunk_size).collect();
-            let scored =
-                pool::par_map(&chunks, |_, chunk| self.score_chunk(fetch, &member_ents, chunk, l));
-            for (chunk, result) in chunks.iter().zip(scored) {
-                match result {
-                    Ok(scores) => {
-                        for (&(ci, _), s) in chunk.iter().zip(scores) {
-                            if let Ok(row) = &mut out[ci as usize] {
-                                row.push(s);
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        for &(ci, _) in *chunk {
-                            let ci = ci as usize;
-                            if !retry.contains(&ci) {
-                                retry.push(ci);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+            .map(|c| if in_range(c) { scored.next().unwrap_or(Err(invalid)) } else { Err(invalid) })
+            .collect()
+    }
+
+    /// [`RouterCore::score_cases`] over cases whose ids are in range.
+    fn score_in_range<F: ShardFetch>(
+        &self,
+        fetch: &F,
+        cases: &[(u32, Vec<u32>)],
+    ) -> Vec<Result<Vec<f32>, ShardError>> {
+        let member_ents: Vec<&[u32]> =
+            cases.iter().map(|&(g, _)| self.member_ents_by_group[g as usize].as_slice()).collect();
+        let engine = Engine::new(&self.weights, &self.params, &self.config, self.group_size);
+        let score = |member_ents: &[&[u32]], cases: &[(u32, Vec<u32>)]| {
+            score_bucketed(
+                member_ents,
+                cases,
+                |v| self.item_entity[v as usize],
+                self.batch_instances,
+                |flat_members, item_ents, l| {
+                    self.score_chunk(&engine, fetch, flat_members, item_ents, l)
+                },
+            )
+        };
+        let mut out = score(&member_ents, cases);
         // a failed chunk poisons every case it contained — re-score
         // those cases one at a time so only the ones that actually need
         // the failed shard end up with errors
-        for ci in retry {
-            out[ci] = self.score_case_isolated(fetch, member_ents[ci], &cases[ci].1);
+        for ci in 0..cases.len() {
+            if out[ci].is_err() {
+                out[ci] = score(&member_ents[ci..=ci], &cases[ci..=ci]).swap_remove(0);
+            }
         }
         out
     }
 
-    /// Score one case alone (the retry path). Chunked at the usual cap;
-    /// bit-identical to the case's scores in a joint pass.
-    fn score_case_isolated<F: ShardFetch>(
-        &self,
-        fetch: &F,
-        member_ents: &[u32],
-        items: &[u32],
-    ) -> Result<Vec<f32>, ShardError> {
-        let l = member_ents.len();
-        let table = [member_ents];
-        let mut scores = Vec::with_capacity(items.len());
-        for chunk_items in items.chunks(self.batch_instances) {
-            let chunk: Vec<(u32, u32)> =
-                chunk_items.iter().map(|&v| (0, self.item_entity[v as usize])).collect();
-            scores.extend(self.score_chunk(fetch, &table, &chunk, l)?);
-        }
-        Ok(scores)
-    }
-
-    /// Fetch, remap and score one uniform-`L` chunk.
+    /// Fetch, check, remap and score one uniform-`L` chunk.
     fn score_chunk<F: ShardFetch>(
         &self,
+        engine: &Engine<'_>,
         fetch: &F,
-        member_ents: &[&[u32]],
-        chunk: &[(u32, u32)],
+        flat_members: &[u32],
+        item_ents: &[u32],
         l: usize,
     ) -> Result<Vec<f32>, ShardError> {
-        let mut flat_members = Vec::with_capacity(chunk.len() * l);
-        let mut item_ents = Vec::with_capacity(chunk.len());
-        for &(ci, ent) in chunk {
-            flat_members.extend_from_slice(member_ents[ci as usize]);
-            item_ents.push(ent);
-        }
         // scatter: receptive fields level by level, then the union of
         // rows every instance in the chunk touches
-        let (rf_members, rf_items) = if self.config.use_kg {
-            (
-                Some(self.assemble_rf(fetch, self.eval_salt ^ SALT_MEMBER, &flat_members)?),
-                Some(self.assemble_rf(fetch, self.eval_salt ^ SALT_ITEM, &item_ents)?),
-            )
-        } else {
-            (None, None)
+        let fields = match self.config.use_kg {
+            true => Some((
+                self.assemble_rf(fetch, self.eval_salt ^ SALT_MEMBER, flat_members)?,
+                self.assemble_rf(fetch, self.eval_salt ^ SALT_ITEM, item_ents)?,
+            )),
+            false => None,
         };
-        let mut ents: Vec<u32> = Vec::new();
-        ents.extend_from_slice(&flat_members);
-        ents.extend_from_slice(&item_ents);
+        let mut ents: Vec<u32> = [flat_members, item_ents].concat();
         let mut rels: Vec<u32> = Vec::new();
-        for rf in [&rf_members, &rf_items].into_iter().flatten() {
-            for level in &rf.entities {
-                ents.extend_from_slice(level);
-            }
-            for level in &rf.relations {
-                rels.extend_from_slice(level);
-            }
+        for rf in fields.iter().flat_map(|(m, i)| [m, i]) {
+            rf.entities.iter().for_each(|level| ents.extend_from_slice(level));
+            rf.relations.iter().for_each(|level| rels.extend_from_slice(level));
         }
         ents.sort_unstable();
         ents.dedup();
         rels.sort_unstable();
         rels.dedup();
         let ent_rows = fetch.fetch_entity_rows(&ents)?;
+        self.check_rows(fetch, &ent_rows, &ents, self.num_entities)?;
         let rel_rows =
             if rels.is_empty() { Vec::new() } else { fetch.fetch_relation_rows(&rels)? };
+        self.check_rows(fetch, &rel_rows, &rels, self.num_relation_slots)?;
         // gather: remap everything into the compact row space and run
-        // the shared single-node kernels over it
+        // the single-node engine over it
         let emap: HashMap<u32, u32> =
             ents.iter().enumerate().map(|(i, &e)| (e, i as u32)).collect();
         let rmap: HashMap<u32, u32> =
             rels.iter().enumerate().map(|(i, &r)| (r, i as u32)).collect();
-        let flat_members_c = remap_ids(&flat_members, &emap);
-        let item_ents_c = remap_ids(&item_ents, &emap);
-        let rf_members_c = rf_members.as_ref().map(|rf| remap_rf(rf, &emap, &rmap));
-        let rf_items_c = rf_items.as_ref().map(|rf| remap_rf(rf, &emap, &rmap));
+        let fields = fields.map(|(m, i)| (remap_rf(&m, &emap, &rmap), remap_rf(&i, &emap, &rmap)));
+        let tables = Tables { entity: &ent_rows, relation: &rel_rows };
+        Ok(engine.score(
+            tables,
+            fields.as_ref().map(|(m, i)| (m, i)),
+            &remap_ids(flat_members, &emap),
+            &remap_ids(item_ents, &emap),
+            l,
+        ))
+    }
+
+    /// Peer rows must be `dim` finite floats per id: anything else is a
+    /// malformed reply, attributed to the shard owning the bad row.
+    fn check_rows<F: ShardFetch>(
+        &self,
+        fetch: &F,
+        rows: &[f32],
+        ids: &[u32],
+        table_rows: usize,
+    ) -> Result<(), ShardError> {
         let d = self.config.dim;
-        match &self.tables {
-            Some(template) => {
-                // fused f32 tier: row-local conversion means the compact
-                // tables equal row slices of the full converted tables —
-                // sanitisation (non-finite rows) surfaces here, per
-                // chunk, instead of at construction
-                let entity = BlockedTable::from_rows(ents.len(), d, &ent_rows)
-                    .expect("entity rows not convertible to the f32 tier");
-                let relation_scaled = BlockedTable::from_rows_scaled(
-                    rels.len(),
-                    d,
-                    &rel_rows,
-                    1.0 / (d as f64).sqrt(),
-                )
-                .expect("relation rows not convertible to the f32 tier");
-                let tables = template.with_tables(entity, relation_scaled);
-                Ok(tables.score_chunk_prepared(
-                    rf_members_c.as_ref(),
-                    rf_items_c.as_ref(),
-                    &flat_members_c,
-                    &item_ents_c,
-                    l,
-                ))
-            }
-            None => {
-                // exact tier: a scratch store holding the gathered rows
-                // plus clones of the small weights, scored through the
-                // very tape path the single-node engine runs
-                let mut store = ParamStore::new();
-                let entity_emb =
-                    store.register("entity_emb", Tensor::from_vec(ents.len(), d, ent_rows));
-                let relation_emb = if rels.is_empty() {
-                    store.register("relation_emb", Tensor::zeros(1, d))
-                } else {
-                    store.register("relation_emb", Tensor::from_vec(rels.len(), d, rel_rows))
-                };
-                let mut layer_w = Vec::with_capacity(self.layer_w.len());
-                let mut layer_b = Vec::with_capacity(self.layer_b.len());
-                for (h, (w, b)) in self.layer_w.iter().zip(&self.layer_b).enumerate() {
-                    layer_w.push(store.register(&format!("layer_{h}_w"), w.clone()));
-                    layer_b.push(store.register(&format!("layer_{h}_b"), b.clone()));
-                }
-                let params = ModelParams {
-                    prop: PropagationParams { entity_emb, relation_emb, layer_w, layer_b },
-                    att_w1: store.register("att_w1", self.att_w1.clone()),
-                    att_w2: store.register("att_w2", self.att_w2.clone()),
-                    att_b: store.register("att_b", self.att_b.clone()),
-                    att_v: store.register("att_v", self.att_v.clone()),
-                    interaction: self.interaction.as_ref().map(|(w, b)| {
-                        crate::model::InteractionParams {
-                            w: store.register("ip_w", w.clone()),
-                            b: store.register("ip_b", b.clone()),
-                        }
-                    }),
-                };
-                let mut tape = Tape::new(&store);
-                let fwd = forward_group_prepared(
-                    &mut tape,
-                    &params,
-                    &self.config,
-                    self.group_size,
-                    &flat_members_c,
-                    &item_ents_c,
-                    l,
-                    rf_members_c.as_ref(),
-                    rf_items_c.as_ref(),
-                );
-                Ok(tape.value(fwd.score).data().iter().map(|&s| sigmoid(s)).collect())
-            }
+        let bad = if rows.len() != ids.len() * d {
+            Some(0)
+        } else {
+            rows.chunks(d).position(|row| row.iter().any(|x| !x.is_finite()))
+        };
+        match bad {
+            None => Ok(()),
+            Some(i) => Err(self.malformed(fetch, table_rows, ids.get(i).copied())),
         }
+    }
+
+    /// A [`ShardErrorKind::Protocol`] error blamed on the shard owning
+    /// row `id` of a `table_rows`-row table (shard 0 when unknown).
+    fn malformed<F: ShardFetch>(
+        &self,
+        fetch: &F,
+        table_rows: usize,
+        id: Option<u32>,
+    ) -> ShardError {
+        let part = Partition::new(table_rows, fetch.shard_count().max(1));
+        let shard =
+            id.filter(|&id| (id as usize) < table_rows).map_or(0, |id| part.shard_of(id as usize));
+        ShardError { shard, kind: ShardErrorKind::Protocol }
     }
 
     /// Rebuild the receptive field of `targets` level-synchronously from
@@ -642,7 +562,7 @@ impl RouterCore {
         parents: &[u32],
     ) -> Result<(Vec<u32>, Vec<u32>), ShardError> {
         let Some(memo) = &self.memo else {
-            return fetch.fetch_draws(salt, level, parents);
+            return self.checked_draws(fetch, salt, level, parents);
         };
         let k = self.sampler_k;
         let mut missing: Vec<u32> = {
@@ -659,7 +579,7 @@ impl RouterCore {
             // fetch outside the lock so slow peers don't serialize the
             // whole pool; concurrent chunks may race on the same entity
             // but insert identical draws (they're keyed), so either wins
-            let (ch, rl) = fetch.fetch_draws(salt, level, &missing)?;
+            let (ch, rl) = self.checked_draws(fetch, salt, level, &missing)?;
             let mut guard = memo.lock().expect("draw memo poisoned");
             for (i, &p) in missing.iter().enumerate() {
                 guard.entry((salt, level as u32, p)).or_insert_with(|| {
@@ -676,6 +596,34 @@ impl RouterCore {
             out_r.extend_from_slice(rl);
         }
         Ok((out_e, out_r))
+    }
+
+    /// `fetch_draws`, with the reply checked against the contract: `k`
+    /// in-range children and relations per parent. A violation is a
+    /// malformed reply from the shard owning the offending parent.
+    fn checked_draws<F: ShardFetch>(
+        &self,
+        fetch: &F,
+        salt: u64,
+        level: usize,
+        parents: &[u32],
+    ) -> Result<(Vec<u32>, Vec<u32>), ShardError> {
+        let (ch, rl) = fetch.fetch_draws(salt, level, parents)?;
+        let k = self.sampler_k;
+        let bad = if ch.len() != parents.len() * k || rl.len() != ch.len() {
+            Some(0)
+        } else {
+            ch.iter()
+                .zip(&rl)
+                .position(|(&e, &r)| {
+                    e as usize >= self.num_entities || r as usize >= self.num_relation_slots
+                })
+                .map(|i| i / k)
+        };
+        match bad {
+            None => Ok((ch, rl)),
+            Some(p) => Err(self.malformed(fetch, self.num_entities, parents.get(p).copied())),
+        }
     }
 }
 

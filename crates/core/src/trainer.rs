@@ -20,7 +20,7 @@ use crate::model::ModelParams;
 use kgag_data::split::{DatasetSplit, NegativeSampler};
 use kgag_data::GroupDataset;
 use kgag_eval::{EvalConfig, GroupEvalCase, GroupScorer, MetricSummary};
-use kgag_kg::{CollaborativeKg, NeighborSampler, RfCache};
+use kgag_kg::{CollaborativeKg, NeighborSampler};
 use kgag_tensor::optim::{Adam, Optimizer};
 use kgag_tensor::pool;
 use kgag_tensor::rng::{derive_seed, SplitMix64};
@@ -109,7 +109,7 @@ impl PairCycler {
 
 /// Salt domain separators keeping the four receptive-field draws of one
 /// forward pass on distinct RNG streams (item vs member side of a group
-/// instance; user vs item side of a user instance). [`RfCache`] tables
+/// instance; user vs item side of a user instance). [`kgag_kg::RfCache`] tables
 /// are keyed on `eval_salt ^ <separator>`, so the separators are part of
 /// the serving contract.
 pub(crate) const SALT_ITEM: u64 = 0x17e3;
@@ -137,15 +137,6 @@ pub(crate) struct GroupForward {
     pub(crate) attention: AttentionOut,
     /// Raw prediction scores `[B, 1]` (Eq. 14).
     pub(crate) score: NodeId,
-}
-
-/// Where a forward pass gets its receptive fields: sampled live (the
-/// training / per-case path) or looked up in prebuilt [`RfCache`]
-/// tables (the batched inference path). Both resolve to the same draws
-/// for the same salt, so the two paths score bit-identically.
-pub(crate) enum Fields<'c> {
-    Live { salt: u64, train: bool },
-    Cached { members: &'c RfCache, items: &'c RfCache },
 }
 
 impl Kgag {
@@ -260,58 +251,20 @@ impl Kgag {
         salt: u64,
         train: bool,
     ) -> GroupForward {
-        self.forward_group_any(tape, flat_members, item_ents, l, &Fields::Live { salt, train })
-    }
-
-    /// [`Kgag::forward_group`] reading receptive fields from prebuilt
-    /// caches — the batched inference forward.
-    pub(crate) fn forward_group_cached(
-        &self,
-        tape: &mut Tape<'_>,
-        flat_members: &[u32],
-        item_ents: &[u32],
-        l: usize,
-        members: &RfCache,
-        items: &RfCache,
-    ) -> GroupForward {
-        self.forward_group_any(tape, flat_members, item_ents, l, &Fields::Cached { members, items })
-    }
-
-    fn forward_group_any(
-        &self,
-        tape: &mut Tape<'_>,
-        flat_members: &[u32],
-        item_ents: &[u32],
-        l: usize,
-        fields: &Fields<'_>,
-    ) -> GroupForward {
         // receptive fields are resolved *before* any tape op: a draw
         // depends only on (seed, salt, entity, level), never on tape
         // state, so hoisting the sampling leaves the op sequence — and
         // therefore the bits — untouched
-        let (rf_members, rf_items) = if !self.config.use_kg {
-            (None, None)
+        let (rf_members, rf_items) = if self.config.use_kg {
+            let sampler = if train { &self.sampler } else { &self.eval_sampler };
+            let graph = self.ckg.graph();
+            let depth = self.config.layers;
+            (
+                Some(sampler.receptive_field(graph, flat_members, depth, salt ^ SALT_MEMBER)),
+                Some(sampler.receptive_field(graph, item_ents, depth, salt ^ SALT_ITEM)),
+            )
         } else {
-            match *fields {
-                Fields::Live { salt, train } => {
-                    let sampler = if train { &self.sampler } else { &self.eval_sampler };
-                    let graph = self.ckg.graph();
-                    let depth = self.config.layers;
-                    (
-                        Some(sampler.receptive_field(
-                            graph,
-                            flat_members,
-                            depth,
-                            salt ^ SALT_MEMBER,
-                        )),
-                        Some(sampler.receptive_field(graph, item_ents, depth, salt ^ SALT_ITEM)),
-                    )
-                }
-                Fields::Cached { members, items } => (
-                    Some(members.receptive_field(flat_members)),
-                    Some(items.receptive_field(item_ents)),
-                ),
-            }
+            (None, None)
         };
         forward_group_prepared(
             tape,
@@ -373,13 +326,17 @@ impl Kgag {
     }
 
     pub(crate) fn item_entities(&self, items: &[u32]) -> Vec<u32> {
-        items.iter().map(|&v| self.ckg.item_entity(v).0).collect()
+        items.iter().map(|&v| self.item_entity(v)).collect()
+    }
+
+    pub(crate) fn item_entity(&self, item: u32) -> u32 {
+        self.ckg.item_entity(item).0
     }
 
     /// The fixed inference salt of this model. Group scoring draws
     /// receptive fields under `eval_salt ^ SALT_ITEM` /
     /// `eval_salt ^ SALT_MEMBER` for every group and candidate, which is
-    /// what lets [`RfCache`] tables built once per checkpoint serve every
+    /// what lets [`kgag_kg::RfCache`] tables built once per checkpoint serve every
     /// evaluation case.
     pub(crate) fn eval_salt(&self) -> u64 {
         derive_seed(self.config.seed, "score")
@@ -395,8 +352,8 @@ impl Kgag {
         &self.groups
     }
 
-    /// Parameter handles — read by the fused inference tier when it
-    /// derives its [`crate::InferenceTables`] from the store.
+    /// Parameter handles — read by the inference engine
+    /// ([`crate::infer`]) to borrow its weights from the store.
     pub(crate) fn params(&self) -> &ModelParams {
         &self.params
     }
@@ -764,23 +721,15 @@ impl Kgag {
 }
 
 /// The group forward as pure tape ops over *pre-resolved* receptive
-/// fields — the body shared by every exact-tier scoring path.
-///
-/// `params` may index any [`kgag_tensor::ParamStore`] whose registered
-/// tensors hold the model's rows: the full trained store, or a compact
-/// per-chunk store assembled by the scatter-gather router
-/// ([`crate::shard::RouterCore`]) from gathered shard rows with entity /
-/// relation ids remapped to match. Every op here computes each output
-/// row from its own instance rows, so the two stores produce identical
-/// bits — the invariant the sharded-equals-single-node gate rests on.
+/// fields — the training forward and the oracle the inference engine
+/// ([`crate::infer`]) reproduces bit for bit.
 ///
 /// `rf_*` are `None` under the KGAG-KG ablation (zero-order embeddings,
-/// no propagation). The op sequence is the serving contract: gather
-/// members, gather items, item query = member mean, item propagation,
-/// member queries = repeated item rows, member propagation, attention,
-/// row-dot.
+/// no propagation). The op sequence: gather members, gather items, item
+/// query = member mean, item propagation, member queries = repeated
+/// item rows, member propagation, attention, row-dot.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_group_prepared(
+fn forward_group_prepared(
     tape: &mut Tape<'_>,
     params: &ModelParams,
     config: &KgagConfig,

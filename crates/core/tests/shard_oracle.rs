@@ -1,12 +1,10 @@
 //! The scatter-gather sharding oracle (DESIGN.md §15).
 //!
 //! [`kgag::RouterCore`] promises that scoring over *any* row
-//! partitioning of the model — 1 to N shards — is **bit-identical** on
-//! the exact tier to the single-node [`kgag::BatchScorer`] path, at any
-//! thread count and with the draw memo on or off; and that the fused
-//! f32 tier is self-identical across shard counts (in fact equal to the
-//! single-node f32 tier, because the `BlockedTable` conversion is
-//! row-local). The property suite here drives random case batches over
+//! partitioning of the model — 1 to N shards — is **bit-identical** to
+//! the single-node [`kgag::BatchScorer`] path, at any thread count and
+//! with the draw memo on or off. The property suite here drives random
+//! case batches over
 //! random 1–4-shard partitions through [`kgag::LocalFetch`] — the
 //! partitioning semantics without the network — against exactly that
 //! oracle. CI additionally proves the *networked* layer end-to-end
@@ -16,11 +14,11 @@
 //! Failure semantics get their own tests: with one shard dead, every
 //! case either scores bit-identically (its receptive field never
 //! touches the dead shard) or fails with a typed [`kgag::ShardError`]
-//! naming that shard — never a panic, never a corrupted score.
+//! naming that shard — never a panic, never a corrupted score. A peer
+//! row that is not finite, and a group or item id out of range, fail
+//! only their own cases, typed.
 
-use kgag::{
-    Kgag, KgagConfig, LocalFetch, RouterCore, ScoreTier, ShardError, ShardErrorKind, ShardFetch,
-};
+use kgag::{Kgag, KgagConfig, LocalFetch, RouterCore, ShardError, ShardErrorKind, ShardFetch};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -83,7 +81,7 @@ fn sharded_scores_are_bit_identical_to_single_node() {
         |words| {
             let (count, threads, memo, cases) = decode(words, num_groups, num_items);
             let want = with_threads(1, || scorer.score_cases(&cases));
-            let router = RouterCore::from_model(&model, ScoreTier::Exact, memo);
+            let router = RouterCore::from_model(&model, memo);
             let got = with_threads(threads, || router.score_cases(&fetches[count - 1], &cases));
             for (ci, (w, g)) in want.iter().zip(&got).enumerate() {
                 match g {
@@ -106,33 +104,6 @@ fn sharded_scores_are_bit_identical_to_single_node() {
             Ok(())
         },
     );
-}
-
-/// The fused f32 tier is self-identical across shard counts — and, the
-/// conversion being row-local, equal to the single-node f32 tier too.
-#[test]
-fn sharded_f32_tier_is_self_identical_across_shard_counts() {
-    let (ds, model) = smoke_model();
-    let fetches = local_fetches(&model, 4);
-    let items: Vec<u32> = (0..ds.num_items).collect();
-    let cases: Vec<(u32, Vec<u32>)> =
-        (0..ds.num_groups().min(4)).map(|g| (g, items.clone())).collect();
-    let single = model.batch_scorer_with(true).with_tier(ScoreTier::FusedF32).score_cases(&cases);
-    for (count, fetch) in fetches.iter().enumerate() {
-        for memo in [false, true] {
-            let router = RouterCore::from_model(&model, ScoreTier::FusedF32, memo);
-            let got = router.score_cases(fetch, &cases);
-            for (ci, (w, g)) in single.iter().zip(&got).enumerate() {
-                let g = g.as_ref().expect("local fetch never fails");
-                assert_eq!(
-                    bits(g),
-                    bits(w),
-                    "f32 tier diverged: {} shard(s) memo={memo} case {ci}",
-                    count + 1
-                );
-            }
-        }
-    }
 }
 
 /// A fetch whose `dead` shard is gone: any query touching an id that
@@ -201,7 +172,7 @@ fn dead_shard_yields_typed_errors_on_affected_cases_only() {
                 count,
             };
             for memo in [false, true] {
-                let router = RouterCore::from_model(&model, ScoreTier::Exact, memo);
+                let router = RouterCore::from_model(&model, memo);
                 let got = router.score_cases(&fetch, &cases);
                 for (ci, (w, g)) in want.iter().zip(&got).enumerate() {
                     match g {
@@ -230,8 +201,95 @@ fn single_shard_router_matches_per_case_path() {
     let (ds, model) = smoke_model();
     let fetch = LocalFetch::new(vec![model.shard_state(0, 1)]);
     let items: Vec<u32> = (0..ds.num_items).collect();
-    let router = RouterCore::from_model(&model, ScoreTier::Exact, true);
+    let router = RouterCore::from_model(&model, true);
     let got = router.score_cases(&fetch, &[(0, items.clone())]);
     let want = model.score_group_items(0, &items);
     assert_eq!(bits(got[0].as_ref().expect("local fetch never fails")), bits(&want));
+}
+
+/// A fetch that serves one entity row as NaN — a faulty peer.
+struct CorruptRowFetch {
+    inner: LocalFetch,
+    entity: u32,
+}
+
+impl ShardFetch for CorruptRowFetch {
+    fn fetch_draws(
+        &self,
+        salt: u64,
+        level: usize,
+        entities: &[u32],
+    ) -> Result<(Vec<u32>, Vec<u32>), ShardError> {
+        self.inner.fetch_draws(salt, level, entities)
+    }
+
+    fn fetch_entity_rows(&self, ids: &[u32]) -> Result<Vec<f32>, ShardError> {
+        let mut rows = self.inner.fetch_entity_rows(ids)?;
+        let dim = rows.len() / ids.len().max(1);
+        if let Some(i) = ids.iter().position(|&id| id == self.entity) {
+            rows[i * dim] = f32::NAN;
+        }
+        Ok(rows)
+    }
+
+    fn fetch_relation_rows(&self, ids: &[u32]) -> Result<Vec<f32>, ShardError> {
+        self.inner.fetch_relation_rows(ids)
+    }
+
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+}
+
+/// One non-finite row from a peer fails exactly the cases whose fields
+/// read it, with a typed protocol error naming the owning shard; every
+/// other case stays bit-identical, and nothing panics.
+#[test]
+fn corrupt_peer_row_fails_only_the_cases_that_read_it() {
+    let (ds, model) = smoke_model();
+    let items: Vec<u32> = (0..ds.num_items).collect();
+    let cases: Vec<(u32, Vec<u32>)> =
+        (0..ds.num_groups().min(6)).map(|g| (g, items.clone())).collect();
+    let want = model.batch_scorer_with(true).score_cases(&cases);
+    let entity = model.collaborative_kg().user_entity(ds.groups[0][0]).0;
+    let count = 3;
+    let owner = kgag_kg::Partition::new(model.collaborative_kg().num_entities(), count)
+        .shard_of(entity as usize);
+    for memo in [false, true] {
+        let fetch = CorruptRowFetch {
+            inner: LocalFetch::new((0..count).map(|i| model.shard_state(i, count)).collect()),
+            entity,
+        };
+        let got = RouterCore::from_model(&model, memo).score_cases(&fetch, &cases);
+        assert!(got[0].is_err(), "memo={memo}: the case reading the corrupt row must fail");
+        for (ci, (w, g)) in want.iter().zip(&got).enumerate() {
+            match g {
+                Ok(scores) => assert_eq!(bits(scores), bits(w), "memo={memo}: case {ci}"),
+                Err(e) => assert_eq!(
+                    *e,
+                    ShardError { shard: owner, kind: ShardErrorKind::Protocol },
+                    "memo={memo}: case {ci} wrong error"
+                ),
+            }
+        }
+    }
+}
+
+/// Out-of-range group and item ids fail their own cases with a typed
+/// error instead of a panic; the valid cases keep their bits.
+#[test]
+fn out_of_range_ids_fail_their_case_typed() {
+    let (ds, model) = smoke_model();
+    let fetch = LocalFetch::new((0..2).map(|i| model.shard_state(i, 2)).collect());
+    let cases =
+        vec![(0, vec![0, 1]), (ds.num_groups(), vec![0]), (1, vec![2, ds.num_items]), (1, vec![3])];
+    let got = RouterCore::from_model(&model, true).score_cases(&fetch, &cases);
+    let invalid = ShardError { shard: 0, kind: ShardErrorKind::Invalid };
+    assert_eq!(got[1], Err(invalid));
+    assert_eq!(got[2], Err(invalid));
+    for ci in [0, 3] {
+        let (g, items) = &cases[ci];
+        let scores = got[ci].as_ref().expect("valid case scores");
+        assert_eq!(bits(scores), bits(&model.score_group_items(*g, items)), "case {ci}");
+    }
 }

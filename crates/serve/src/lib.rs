@@ -124,6 +124,7 @@ impl std::fmt::Display for ServeError {
                     kgag::ShardErrorKind::Unavailable => "a shard is unavailable",
                     kgag::ShardErrorKind::Timeout => "a shard timed out",
                     kgag::ShardErrorKind::Protocol => "a shard answered garbage",
+                    kgag::ShardErrorKind::Invalid => "a group or item id is out of range",
                 };
                 write!(f, "sharded scoring failed: {what}")
             }

@@ -5,13 +5,13 @@
 //! ranges, [`kgag_kg::Partition`]); a router process holds only the
 //! small dense parameters ([`kgag::RouterCore`]) and assembles each
 //! request's receptive field by querying shards for keyed neighbour
-//! draws and raw embedding rows, then runs the *same* fused kernels a
-//! single-node server would. Because draws are keyed on
+//! draws and raw embedding rows, then runs the *same* inference engine
+//! a single-node server would. Because draws are keyed on
 //! `(seed, salt, entity, level)` and entity-local, and because score
 //! fusion happens entirely on the router in the canonical tape
 //! reduction order, sharded scores are **bit-identical** to single-node
-//! scores on the f64 tier and self-identical across shard counts on the
-//! f32 tier — enforced by `crates/bench/src/bin/shard_check.rs` in CI.
+//! scores at any shard count — enforced by
+//! `crates/bench/src/bin/shard_check.rs` in CI.
 //!
 //! Wire protocol: the same little-endian `u32` length-prefixed framing
 //! as [`crate::wire`], with shard-only opcodes on dedicated
@@ -697,6 +697,10 @@ impl ShardFetch for ShardPool {
 
     fn fetch_relation_rows(&self, ids: &[u32]) -> Result<Vec<f32>, ShardError> {
         self.fetch_rows(TABLE_RELATION, &self.relation_part, ids)
+    }
+
+    fn shard_count(&self) -> usize {
+        self.count()
     }
 }
 

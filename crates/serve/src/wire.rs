@@ -39,7 +39,7 @@
 //! `deadline_us == 0` means no deadline; otherwise it is a budget in
 //! microseconds relative to server receipt. Status bytes 1–4, 6, 8 and
 //! 9 map to the body-less [`ServeError`] variants; bytes `16..=21`
-//! carry [`LifecycleError`] as `16 + code`; bytes `24..=26` carry
+//! carry [`LifecycleError`] as `16 + code`; bytes `24..=27` carry
 //! [`ServeError::Shard`] as `24 + kind`; bytes `32..=39` carry
 //! [`ServeError::Registry`] as `32 + code` — see [`Status`]. Scores
 //! travel as raw `f32` bit patterns, so the protocol preserves
@@ -209,6 +209,7 @@ fn shard_to_byte(kind: kgag::ShardErrorKind) -> u8 {
         kgag::ShardErrorKind::Unavailable => 0,
         kgag::ShardErrorKind::Timeout => 1,
         kgag::ShardErrorKind::Protocol => 2,
+        kgag::ShardErrorKind::Invalid => 3,
     };
     SHARD_STATUS_BASE + code
 }
@@ -218,6 +219,7 @@ fn shard_from_byte(b: u8) -> Option<kgag::ShardErrorKind> {
         0 => Some(kgag::ShardErrorKind::Unavailable),
         1 => Some(kgag::ShardErrorKind::Timeout),
         2 => Some(kgag::ShardErrorKind::Protocol),
+        3 => Some(kgag::ShardErrorKind::Invalid),
         _ => None,
     }
 }
@@ -833,6 +835,7 @@ mod tests {
                 kgag::ShardErrorKind::Unavailable,
                 kgag::ShardErrorKind::Timeout,
                 kgag::ShardErrorKind::Protocol,
+                kgag::ShardErrorKind::Invalid,
             ]
             .map(ServeError::Shard),
         );

@@ -1,26 +1,26 @@
-//! Property suites for the fused f32 inference kernels
+//! Property suites for the tape-free inference kernels
 //! (`kgag_tensor::infer`, DESIGN.md §14).
 //!
-//! Each fused kernel is compared against a naive f64 evaluation of the
-//! same expression on random inputs. The bound is *relative*: for a
-//! reduction of length `n` over values bounded by `m`, the accumulated
-//! f32 rounding error is at most a small multiple of `n · m² · ε`, so
-//! every assertion scales its tolerance by the reduction length and the
-//! operand magnitude instead of hard-coding an absolute epsilon that
-//! would go stale when test ranges change.
-//!
-//! The conversion suite covers the edge cases the sanitiser exists
-//! for: subnormal flushing, overflow/NaN detection, exactness on
-//! normals, and zeroed padding lanes.
+//! Two kinds of check. Kernels that replace a tape op one-for-one are
+//! compared against that op **bit for bit** on random inputs — the
+//! inference engine's tape equality rests on them. Every kernel is also
+//! compared against a naive f64 evaluation of the same expression. That
+//! bound is *relative*: for a reduction of length `n` over values
+//! bounded by `m`, the accumulated f32 rounding error is at most a
+//! small multiple of `n · m² · ε`, so every assertion scales its
+//! tolerance by the reduction length and the operand magnitude instead
+//! of hard-coding an absolute epsilon that would go stale when test
+//! ranges change.
 
 use kgag_tensor::infer::{
-    add_into, blocked_stride, dot_f32, flush_subnormal, gather_row_dot_rep, group_mean,
-    group_weighted_sum, matmul2_bias_act, matmul_bias_act, residual_inplace, row_dot_rep_scaled,
-    sanitize_dense, softmax_groups_inplace, Activation, BlockedTable, ConvertError, BLOCK_FLOATS,
+    add_into, gather_into, group_mean, group_weighted_sum, group_weighted_sum_rows,
+    matmul2_bias_act, matmul_bias_act, residual_inplace, row_dot_rep_scaled,
+    softmax_groups_inplace, Activation,
 };
 use kgag_tensor::rng::SplitMix64;
+use kgag_tensor::{ParamStore, Tape, Tensor};
 use kgag_testkit::check::Runner;
-use kgag_testkit::gen::{f32_in, u64_in, usize_in};
+use kgag_testkit::gen::{u64_in, usize_in};
 use kgag_testkit::{prop_assert, prop_assert_eq};
 
 /// Per-element relative-error bound for a length-`n` f32 reduction over
@@ -36,34 +36,41 @@ fn rand_vec(rng: &mut SplitMix64, n: usize, lo: f32, hi: f32) -> Vec<f32> {
     (0..n).map(|_| lo + (hi - lo) * rng.next_f32()).collect()
 }
 
+/// The grouped kernels reproduce the tape's grouped ops bit for bit,
+/// and the by-id weighted sum equals the gathered one.
 #[test]
-fn gather_row_dot_matches_f64_reference() {
-    let gen =
-        (usize_in(1..40), usize_in(1..24), usize_in(1..6), usize_in(1..5), u64_in(0..u64::MAX));
-    Runner::new("infer-gather-row-dot-vs-f64").cases(96).run(
-        &gen,
-        |&(rows, dim, n_query, rep, seed)| {
-            let mut rng = SplitMix64::new(seed);
-            let src = rand_vec(&mut rng, rows * dim, -2.0, 2.0);
-            let table = BlockedTable::from_rows(rows, dim, &src).unwrap();
-            let query = rand_vec(&mut rng, n_query * dim, -2.0, 2.0);
-            let ids: Vec<u32> =
-                (0..n_query * rep).map(|_| (rng.next_u64() % rows as u64) as u32).collect();
-            let mut out = Vec::new();
-            gather_row_dot_rep(&table, &ids, &query, dim, rep, &mut out);
-            prop_assert_eq!(out.len(), ids.len(), "one dot per id");
-            for (i, &got) in out.iter().enumerate() {
-                let row = &src[(ids[i] as usize) * dim..(ids[i] as usize + 1) * dim];
-                let q = &query[(i / rep) * dim..(i / rep + 1) * dim];
-                let want: f64 = row.iter().zip(q).map(|(&a, &b)| a as f64 * b as f64).sum();
-                prop_assert!(
-                    (got as f64 - want).abs() <= tol(dim, 4.0),
-                    "dot {i}: got {got}, f64 reference {want}"
-                );
-            }
-            Ok(())
-        },
-    );
+fn grouped_kernels_equal_tape_ops_bitwise() {
+    let gen = (usize_in(1..12), usize_in(1..9), usize_in(1..20), u64_in(0..u64::MAX));
+    Runner::new("infer-grouped-vs-tape").cases(96).run(&gen, |&(n, group, dim, seed)| {
+        let mut rng = SplitMix64::new(seed);
+        let rows = n * group;
+        let table = rand_vec(&mut rng, (rows + 3) * dim, -2.0, 2.0);
+        let ids: Vec<u32> =
+            (0..rows).map(|_| (rng.next_u64() % (rows as u64 + 3)) as u32).collect();
+        // some weights exactly zero, to exercise the shared zero-skip
+        let weights: Vec<f32> = (0..rows)
+            .map(|_| if rng.next_u64() % 4 == 0 { 0.0 } else { rng.next_f32() - 0.5 })
+            .collect();
+        let mut values = Vec::new();
+        gather_into(&table, dim, &ids, &mut values);
+
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let v = tape.constant(Tensor::from_vec(rows, dim, values.clone()));
+        let w = tape.constant(Tensor::from_vec(rows, 1, weights.clone()));
+        let mean = tape.group_mean(v, group);
+        let wsum = tape.group_weighted_sum(w, v, group);
+
+        let (mut got_mean, mut got_wsum, mut got_rows) = (Vec::new(), Vec::new(), Vec::new());
+        group_mean(&values, dim, group, &mut got_mean);
+        group_weighted_sum(&weights, &values, dim, group, &mut got_wsum);
+        group_weighted_sum_rows(&weights, &table, &ids, dim, group, &mut got_rows);
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got_mean), bits(tape.value(mean).data()), "group_mean");
+        prop_assert_eq!(bits(&got_wsum), bits(tape.value(wsum).data()), "group_weighted_sum");
+        prop_assert_eq!(bits(&got_rows), bits(&got_wsum), "by-id weighted sum");
+        Ok(())
+    });
 }
 
 #[test]
@@ -254,108 +261,6 @@ fn row_dot_and_residual_match_f64_reference() {
         for i in 0..n_b * dim {
             prop_assert_eq!(sum[i], e0[i] + b[i], "add_into {i}");
         }
-        Ok(())
-    });
-}
-
-// ---------------------------------------------------------------------
-// f64→f32 table conversion edge cases
-// ---------------------------------------------------------------------
-
-#[test]
-fn conversion_preserves_normals_exactly() {
-    let gen = (usize_in(1..20), usize_in(1..40), u64_in(0..u64::MAX));
-    Runner::new("infer-convert-normals-exact").cases(96).run(&gen, |&(rows, dim, seed)| {
-        let mut rng = SplitMix64::new(seed);
-        let src = rand_vec(&mut rng, rows * dim, -5.0, 5.0);
-        let table = BlockedTable::from_rows(rows, dim, &src).unwrap();
-        prop_assert_eq!(table.stride() % BLOCK_FLOATS, 0, "stride must be blocked");
-        prop_assert_eq!(table.stride(), blocked_stride(dim), "stride formula");
-        for r in 0..rows {
-            // unscaled conversion of normal floats is the identity
-            prop_assert_eq!(table.row(r), &src[r * dim..(r + 1) * dim], "row {r} changed");
-        }
-        let dense = sanitize_dense(rows, dim, &src).unwrap();
-        prop_assert_eq!(&dense, &src, "dense sanitise of normals is identity");
-        Ok(())
-    });
-}
-
-#[test]
-fn conversion_flushes_scaled_subnormals_to_zero() {
-    // values whose scaled result lands in the subnormal range must come
-    // out exactly zero, not as a denormal the kernels would chew on
-    let gen = (f32_in(1.0..100.0), u64_in(0..u64::MAX));
-    Runner::new("infer-convert-flushes-subnormals").cases(64).run(&gen, |&(mag, _seed)| {
-        let tiny = mag * 1e-35f32; // normal f32
-        let table = BlockedTable::from_rows_scaled(1, 1, &[tiny], 1e-10).unwrap();
-        let got = table.row(0)[0];
-        prop_assert!(
-            got == 0.0 || got.abs() >= f32::MIN_POSITIVE,
-            "scaled conversion leaked a subnormal: {got:e}"
-        );
-        prop_assert_eq!(flush_subnormal(f32::MIN_POSITIVE / 4.0), 0.0, "direct flush");
-        prop_assert_eq!(flush_subnormal(-f32::MIN_POSITIVE / 4.0), 0.0, "negative flush");
-        prop_assert_eq!(flush_subnormal(1.5), 1.5, "normals untouched");
-        Ok(())
-    });
-}
-
-#[test]
-fn conversion_rejects_non_finite_and_overflow_with_position() {
-    let gen = (usize_in(1..8), usize_in(1..8), usize_in(0..64), u64_in(0..u64::MAX));
-    Runner::new("infer-convert-typed-errors").cases(64).run(
-        &gen,
-        |&(rows, dim, poison_idx, seed)| {
-            let mut rng = SplitMix64::new(seed);
-            let poison = poison_idx % (rows * dim);
-            let (pr, pc) = (poison / dim, poison % dim);
-            // NaN / infinity are NonFinite at the right coordinates
-            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-                let mut src = rand_vec(&mut rng, rows * dim, -1.0, 1.0);
-                src[poison] = bad;
-                let err = BlockedTable::from_rows(rows, dim, &src).unwrap_err();
-                prop_assert_eq!(
-                    err,
-                    ConvertError::NonFinite { row: pr, col: pc },
-                    "bad value {bad}"
-                );
-                let derr = sanitize_dense(rows, dim, &src).unwrap_err();
-                prop_assert_eq!(derr, ConvertError::NonFinite { row: pr, col: pc }, "dense");
-            }
-            // a finite value whose scaled product leaves f32 range is
-            // Overflow, again with coordinates
-            let mut src = rand_vec(&mut rng, rows * dim, -1.0, 1.0);
-            src[poison] = f32::MAX;
-            let err = BlockedTable::from_rows_scaled(rows, dim, &src, 1e12).unwrap_err();
-            match err {
-                ConvertError::Overflow { row, col, value } => {
-                    prop_assert_eq!((row, col), (pr, pc), "overflow position");
-                    prop_assert!(value.is_finite(), "the f64 value itself is finite");
-                }
-                other => prop_assert!(false, "expected Overflow, got {other:?}"),
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn padding_lanes_are_zero_so_full_stride_dots_are_safe() {
-    let gen = (usize_in(1..10), usize_in(1..40), u64_in(0..u64::MAX));
-    Runner::new("infer-convert-padding-zero").cases(64).run(&gen, |&(rows, dim, seed)| {
-        let mut rng = SplitMix64::new(seed);
-        let src = rand_vec(&mut rng, rows * dim, -5.0, 5.0);
-        let table = BlockedTable::from_rows(rows, dim, &src).unwrap();
-        // a dot over the logical row equals a dot over the padded row
-        // against a probe that extends past dim — only if padding is 0
-        let probe = vec![1.0f32; table.stride()];
-        for r in 0..rows {
-            let logical = dot_f32(table.row(r), &probe[..dim]);
-            let full: f32 = src[r * dim..(r + 1) * dim].iter().sum();
-            prop_assert!((logical - full).abs() < 1e-4, "row {r} logical dot");
-        }
-        prop_assert_eq!(table.bytes(), rows * table.stride() * 4, "bytes accounts for padding");
         Ok(())
     });
 }
