@@ -14,7 +14,10 @@
 #
 # Stages (./ci.sh --list prints this table):
 #   fmt        — cargo fmt --check
-#   build      — release build with RUSTFLAGS="-D warnings"
+#   build      — release build with RUSTFLAGS="-D warnings", plus the
+#                serving benchmark (perfbench/, a workspace of its own
+#                that compiles against the serve API): its release
+#                build and its unit tests
 #   test       — full suite at KGAG_THREADS=1 and KGAG_THREADS=4; the
 #                determinism suite additionally compares both thread
 #                counts bit-for-bit inside one process (DESIGN.md §9)
@@ -116,7 +119,7 @@ DEFAULT_STAGES="fmt build test cache serve shard registry backend lifecycle tele
 stage_desc() {
     case "$1" in
     fmt) echo "cargo fmt --check" ;;
-    build) echo "release build, deny warnings" ;;
+    build) echo "release build, deny warnings; perfbench build + unit tests" ;;
     test) echo "full test suite at KGAG_THREADS=1 and 4" ;;
     cache) echo "batched-inference cache equivalence (env knobs forced)" ;;
     serve) echo "serving gate: concurrent bit-identity + drain" ;;
@@ -137,6 +140,8 @@ run_fmt() {
 
 run_build() {
     RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 run_test() {

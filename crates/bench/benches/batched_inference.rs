@@ -1,5 +1,5 @@
 //! Batched-inference benchmark (DESIGN.md §11): the per-case scoring
-//! path against the [`kgag::BatchScorer`] with its receptive-field
+//! path against the [`kgag::Scorer`] with its receptive-field
 //! cache cold (built inside the timed region) and warm (built once,
 //! reused — the steady-state serving shape), plus a chunk-size sweep.
 //!
@@ -12,7 +12,7 @@
 //! so this file measures time and nothing else.
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{Kgag, KgagConfig};
+use kgag::{Kgag, KgagConfig, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -57,14 +57,14 @@ fn main() {
     let label = format!("batched cold {} cases t{THREADS}", cases.len());
     with_threads(THREADS, || {
         suite.bench(&label, || {
-            let scorer = model.batch_scorer_with(true);
+            let scorer = Scorer::new(&model, true);
             black_box(scorer.score_cases(&cases));
         })
     });
     let cold_ns = suite.results().last().unwrap().median_ns;
 
     // warm: cache built once and reused — steady-state serving
-    let warm = model.batch_scorer_with(true);
+    let warm = Scorer::new(&model, true);
     let label = format!("batched warm {} cases t{THREADS}", cases.len());
     with_threads(THREADS, || {
         suite.bench(&label, || {
@@ -75,7 +75,7 @@ fn main() {
 
     // chunk-size sweep (warm): scheduling overhead vs tape size
     for chunk in CHUNK_SIZES {
-        let scorer = model.batch_scorer_with(true).with_batch_instances(chunk);
+        let scorer = Scorer::new(&model, true).with_batch_instances(chunk);
         let label = format!("batched warm chunk={chunk} t{THREADS}");
         with_threads(THREADS, || {
             suite.bench(&label, || {
@@ -85,7 +85,7 @@ fn main() {
     }
 
     // uncached batching isolates the fusion win from the cache win
-    let live = model.batch_scorer_with(false);
+    let live = Scorer::new(&model, false);
     let label = format!("batched no-cache {} cases t{THREADS}", cases.len());
     with_threads(THREADS, || {
         suite.bench(&label, || {

@@ -1,6 +1,6 @@
 //! Tape-versus-engine roofline benchmark (DESIGN.md §14): the training
 //! tape's forward ([`Kgag::score_group_items`], the per-case oracle
-//! path) against the inference engine ([`kgag::BatchScorer`], warm
+//! path) against the inference engine ([`kgag::Scorer`], warm
 //! receptive-field cache) on the steady-state serving workload — every
 //! test group scoring the full catalog. The two produce the same bits;
 //! this file measures time only (correctness is owned by
@@ -18,7 +18,7 @@
 //! * `nproc` and `cpu_model` — the machine the numbers come from.
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{Kgag, KgagConfig};
+use kgag::{Kgag, KgagConfig, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -81,7 +81,7 @@ fn main() {
 
     // the engine warm: rf cache built outside the timed region — the
     // steady-state serving shape
-    let engine = model.batch_scorer_with(true);
+    let engine = Scorer::new(&model, true);
     let tape = || {
         for (group, items) in &cases {
             black_box(model.score_group_items(*group, items));

@@ -2,7 +2,7 @@
 //! in-process micro-batcher against the offline `score_cases` baseline
 //! on the same request slice.
 //!
-//! Three timed variants, all on the warm smoke-model [`BatchScorer`]:
+//! Three timed variants, all on the warm smoke-model [`Scorer`]:
 //! the offline batch call (no queueing, the floor), one closed-loop
 //! client (pure per-request overhead: queue hop + window wait + channel
 //! round trip), and four closed-loop clients (the concurrency shape the
@@ -12,7 +12,7 @@
 //! enforced by `serve_check` in CI, so this file measures time only.
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{Kgag, KgagConfig};
+use kgag::{Kgag, KgagConfig, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -51,7 +51,7 @@ fn main() {
     let split = split_dataset(&ds, 11);
     let mut model = Kgag::new(&ds, &split, KgagConfig { epochs: 2, ..Default::default() });
     with_threads(THREADS, || model.fit(&split));
-    let scorer = model.batch_scorer_with(true);
+    let scorer = Scorer::new(&model, true);
 
     // the serving workload: every test group, sub-catalog candidate
     // lists of varying length (the request shape clients actually send)

@@ -1,6 +1,6 @@
 //! CI bit-identity gate for the inference engine (DESIGN.md §14):
 //! train the fixed-seed smoke model, score the evaluation slice through
-//! the served engine ([`kgag::BatchScorer`]) and through the tape
+//! the served engine ([`kgag::Scorer`]) and through the tape
 //! forward ([`Kgag::score_group_items`]), and fail unless every score
 //! is equal to the bit (max |Δscore| = 0).
 //!
@@ -15,7 +15,7 @@
 //! per-case ones exactly.
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{Kgag, KgagConfig};
+use kgag::{Kgag, KgagConfig, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -39,7 +39,7 @@ fn run() -> Result<bool, String> {
     let items: Vec<u32> = (0..ds.num_items).collect();
     let test = eval_cases(&ds, &split.group, EvalBucket::Test);
     let cases: Vec<(u32, Vec<u32>)> = test.iter().map(|c| (c.group, items.clone())).collect();
-    let scorer = model.batch_scorer_with(true);
+    let scorer = Scorer::new(&model, true);
     let served = scorer.score_cases(&cases);
     let (mut total, mut differing, mut max_delta) = (0usize, 0usize, 0.0f64);
     for ((group, items), got) in cases.iter().zip(&served) {

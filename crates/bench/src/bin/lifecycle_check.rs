@@ -8,7 +8,7 @@
 //!
 //! The check trains the fixed smoke model (yelp tiny, split seed 11,
 //! fit single-threaded so parameters are thread-count invariant),
-//! wraps it in a [`DynamicScorer`](kgag::DynamicScorer), serves it via
+//! wraps it in a [`Scorer`](kgag::Scorer), serves it via
 //! `serve_tcp_dynamic`, and drives four layers:
 //!
 //! 1. **Concurrent mutate/score** — 4 clients, each creating its own
@@ -58,7 +58,7 @@ fn main() {
     assert!(ds.num_users >= 4 * CLIENTS, "smoke world too small for disjoint rosters");
     let static_groups = ds.num_groups();
 
-    let scorer = model.dynamic_scorer();
+    let scorer = model.batch_scorer();
     match scorer.cache_bytes() {
         Some(b) => println!("lifecycle_check: rf cache resident ({b} bytes)"),
         None => println!("lifecycle_check: rf cache disabled"),

@@ -30,7 +30,7 @@
 //! ci.sh runs this at `KGAG_THREADS=1` and `4`. Any divergence panics
 //! (non-zero exit fails the gate).
 
-use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryModel};
+use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryModel, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -63,7 +63,7 @@ fn entry_from(ds: &GroupDataset, bytes: &[u8]) -> RegistryModel {
     let split = split_dataset(ds, 11);
     let mut model = Kgag::new(ds, &split, KgagConfig { epochs: 3, ..Default::default() });
     model.load_checkpoint(bytes).expect("smoke checkpoint must restore");
-    RegistryModel::new(model, checkpoint_hash(bytes), true)
+    RegistryModel::new(Scorer::new(model, true), checkpoint_hash(bytes))
 }
 
 fn assert_bits_equal(label: &str, idx: usize, got: &[f32], want: &[f32]) {
@@ -125,8 +125,8 @@ fn main() {
         let items: Vec<u32> = (0..len).map(|j| (start + j) % ds.num_items).collect();
         requests.push((i % ds.num_groups(), items));
     }
-    let reference_a = entry_from(&ds, &ckpt_a).score_cases(&requests).expect("oracle a");
-    let reference_b = entry_from(&ds, &ckpt_b).score_cases(&requests).expect("oracle b");
+    let reference_a = entry_from(&ds, &ckpt_a).try_score_cases(&requests).expect("oracle a");
+    let reference_b = entry_from(&ds, &ckpt_b).try_score_cases(&requests).expect("oracle b");
     println!("registry_check: {} requests over {} groups", requests.len(), ds.num_groups());
 
     let dir = std::env::temp_dir().join(format!("kgag_registry_check_{}", std::process::id()));

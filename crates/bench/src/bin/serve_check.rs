@@ -5,14 +5,14 @@
 //!
 //! The check trains the fixed smoke model (same fixture as the batched
 //! oracle suite: yelp tiny, split seed 11, fit single-threaded so the
-//! parameters are thread-count invariant), builds one `BatchScorer`,
+//! parameters are thread-count invariant), builds one `Scorer`,
 //! then drives four layers against it:
 //!
 //! 1. **In-process fan-out** — a fixed request slice submitted by 4
 //!    concurrent client threads through `ServeHandle`, under both a
 //!    fusing config (window + multi-request batches) and a degenerate
 //!    one (zero window, singleton batches). Every response must equal
-//!    `BatchScorer::score_cases` on the same request, bit for bit.
+//!    `Scorer::score_cases` on the same request, bit for bit.
 //! 2. **Protocol equality** — `evaluate_group_ranking_batched_detailed`
 //!    run with the server in the scorer seat (each case a separate
 //!    concurrent request) must reproduce the offline summary *and*

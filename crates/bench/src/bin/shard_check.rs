@@ -16,7 +16,7 @@
 //! Layers driven by the orchestrator:
 //!
 //! 1. **Router bit-identity** — `ShardedScorer::try_score_batch` over 2
-//!    shard processes equals offline `BatchScorer::score_cases` bit for
+//!    shard processes equals offline `Scorer::score_cases` bit for
 //!    bit (draw memo on).
 //! 2. **Tape oracle** — the router with the draw memo off equals the
 //!    per-case tape forward (`Kgag::score_group_items`) bit for bit.
@@ -30,7 +30,7 @@
 //! ci.sh runs this at `KGAG_THREADS=1` and `4`. Any divergence panics
 //! (non-zero exit fails the gate).
 
-use kgag::{Kgag, KgagConfig, RouterCore};
+use kgag::{Kgag, KgagConfig, RouterCore, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -144,7 +144,7 @@ fn main() {
             (0..len).map(|j| ((start + j) % ds.num_items as usize) as u32).collect();
         requests.push((g, items));
     }
-    let scorer = model.batch_scorer_with(true);
+    let scorer = Scorer::new(&model, true);
     let reference = with_threads(1, || scorer.score_cases(&requests));
     println!("shard_check: {} requests over {} groups", requests.len(), ds.num_groups());
 

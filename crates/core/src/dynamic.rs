@@ -1,11 +1,10 @@
-//! Live group lifecycle over a trained checkpoint.
+//! Live group lifecycle on the one local scorer.
 //!
-//! A [`BatchScorer`](crate::BatchScorer) is frozen at construction: it
-//! scores the groups the model was trained on, nothing else. A
-//! [`DynamicScorer`] wraps the same scoring kernel around a mutable
-//! [`GroupStore`], so a serving process can **create**, **join** and
-//! **leave** groups between requests and score the result immediately —
-//! including groups that never existed at training time (cold start).
+//! Every [`Scorer`] reads its rosters from a [`GroupStore`], so a
+//! serving process can **create**, **join** and **leave** groups
+//! between requests ([`Scorer::apply`]) and score the result
+//! immediately — including groups that never existed at training time
+//! (cold start).
 //!
 //! Three invariants make this safe to run live (DESIGN.md §13):
 //!
@@ -35,18 +34,15 @@
 //! forward then drops the size-coupled peer-influence tower and scores
 //! self-persistence only (see [`Kgag::score_members`]). Nominal-size
 //! groups — mutated or not — score through the full attention,
-//! bit-identical to the static engine.
+//! bit-identical to the bound groups.
 
-use crate::batch::{env_batch_instances, score_local};
-use crate::infer::ScoreTier;
+use crate::batch::Scorer;
 use crate::trainer::Kgag;
-use kgag_data::{GroupLifecycle, GroupStore, LifecycleAck, LifecycleError, LifecycleOp};
-use kgag_eval::BatchGroupScorer;
-use kgag_kg::RfCache;
-use std::sync::RwLock;
+use kgag_data::{GroupLifecycle, LifecycleAck, LifecycleError, LifecycleOp};
+use std::borrow::Borrow;
 
 /// Typed rejection of an ad-hoc scoring request ([`Kgag::score_members`]
-/// and the [`DynamicScorer`] paths). These are *request* errors — the
+/// and [`Scorer`] scoring). These are *request* errors — the
 /// model and caches are untouched when one is returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ColdStartError {
@@ -79,91 +75,7 @@ impl std::fmt::Display for ColdStartError {
 
 impl std::error::Error for ColdStartError {}
 
-/// Mutable serving state behind one lock: the group table and the
-/// receptive-field caches that must stay coherent with it.
-struct DynState {
-    groups: GroupStore,
-    caches: Option<(RfCache, RfCache)>,
-}
-
-/// A batch scorer over a *live* group table: scores like
-/// [`crate::BatchScorer`] (same engine, same caches, same bits)
-/// and additionally applies [`LifecycleOp`]s between batches.
-///
-/// Scoring takes the state read-lock, mutations the write-lock, so any
-/// number of batch threads score concurrently and every mutation is
-/// atomic with respect to them: a score request sees either the whole
-/// mutation or none of it.
-pub struct DynamicScorer<'m> {
-    model: &'m Kgag,
-    batch_instances: usize,
-    state: RwLock<DynState>,
-}
-
-impl Kgag {
-    /// A [`DynamicScorer`] seeded with the model's bound groups and
-    /// configured from the environment (`KGAG_RF_CACHE`,
-    /// `KGAG_EVAL_BATCH` — same knobs as [`Kgag::batch_scorer`]).
-    pub fn dynamic_scorer(&self) -> DynamicScorer<'_> {
-        let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-        let scorer = self.dynamic_scorer_with(cache);
-        match env_batch_instances() {
-            Some(n) => scorer.with_batch_instances(n),
-            None => scorer,
-        }
-    }
-
-    /// A [`DynamicScorer`] over the bound groups with the
-    /// receptive-field cache explicitly on or off.
-    pub fn dynamic_scorer_with(&self, cache: bool) -> DynamicScorer<'_> {
-        self.dynamic_scorer_over(self.group_store(), cache)
-    }
-
-    /// A [`DynamicScorer`] over an explicit [`GroupStore`] — how the
-    /// oracle tests stand up the "rebuilt from final membership" side.
-    pub fn dynamic_scorer_over(&self, groups: GroupStore, cache: bool) -> DynamicScorer<'_> {
-        DynamicScorer {
-            model: self,
-            batch_instances: 256,
-            state: RwLock::new(DynState { groups, caches: self.eval_rf_caches(cache) }),
-        }
-    }
-}
-
-impl<'m> DynamicScorer<'m> {
-    /// Override the instances-per-chunk cap (bit-neutral; see
-    /// [`crate::BatchScorer::with_batch_instances`]).
-    ///
-    /// # Panics
-    /// Panics when `n == 0`.
-    pub fn with_batch_instances(mut self, n: usize) -> Self {
-        assert!(n > 0, "batch size must be positive");
-        self.batch_instances = n;
-        self
-    }
-
-    /// The scoring engine in force (there is one).
-    pub fn tier(&self) -> ScoreTier {
-        ScoreTier::Engine
-    }
-
-    /// Whether the receptive-field cache is active.
-    pub fn cached(&self) -> bool {
-        self.state.read().unwrap().caches.is_some()
-    }
-
-    /// Approximate resident size of the receptive-field tables in bytes
-    /// (`None` when uncached).
-    pub fn cache_bytes(&self) -> Option<usize> {
-        let state = self.state.read().unwrap();
-        state.caches.as_ref().map(|(m, i)| m.approx_bytes() + i.approx_bytes())
-    }
-
-    /// Live group count (static + created).
-    pub fn num_groups(&self) -> u32 {
-        self.state.read().unwrap().groups.num_groups()
-    }
-
+impl<M: Borrow<Kgag>> Scorer<M> {
     /// Monotone mutation counter of the live store.
     pub fn version(&self) -> u64 {
         self.state.read().unwrap().groups.version()
@@ -175,61 +87,22 @@ impl<'m> DynamicScorer<'m> {
         Ok(self.state.read().unwrap().groups.members(group)?.to_vec())
     }
 
-    /// Scores for one `(group, candidate list)` case against the live
-    /// membership.
-    pub fn score_case(&self, group: u32, items: &[u32]) -> Result<Vec<f32>, ColdStartError> {
-        self.try_score_cases(&[(group, items.to_vec())]).map(|mut v| v.pop().unwrap_or_default())
-    }
-
-    /// Scores for a batch of cases against the live membership — the
-    /// engine path ([`crate::BatchScorer::score_cases`]) with the
-    /// group table resolved under the read-lock, so the whole batch sees
-    /// one consistent membership snapshot.
-    pub fn try_score_cases(
-        &self,
-        cases: &[(u32, Vec<u32>)],
-    ) -> Result<Vec<Vec<f32>>, ColdStartError> {
-        let state = self.state.read().unwrap();
-        let member_ents: Vec<Vec<u32>> = cases
-            .iter()
-            .map(|&(g, _)| {
-                let members =
-                    state.groups.members(g).map_err(|_| ColdStartError::UnknownGroup(g))?;
-                self.model.member_entities_for(members)
-            })
-            .collect::<Result<_, _>>()?;
-        for (_, items) in cases {
-            if let Some(&v) = items.iter().find(|&&v| v >= self.model.num_items()) {
-                return Err(ColdStartError::UnknownItem(v));
-            }
-        }
-        Ok(score_local(
-            self.model,
-            state.caches.as_ref(),
-            self.batch_instances,
-            &member_ents,
-            cases,
-        ))
-    }
-
     /// Apply one lifecycle op atomically: mutate the group table, then
     /// evict and repair every receptive-field cache entry reachable from
     /// the touched users. Failed ops leave both untouched.
     pub fn apply(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError> {
+        let model = self.model();
         let mut state = self.state.write().unwrap();
         let applied = state.groups.apply(op)?;
-        let touched_ents: Vec<u32> = applied
-            .touched
-            .iter()
-            .map(|&u| self.model.collaborative_kg().user_entity(u).0)
-            .collect();
+        let touched_ents: Vec<u32> =
+            applied.touched.iter().map(|&u| model.collaborative_kg().user_entity(u).0).collect();
         let mut evicted = 0usize;
         if let Some((members, items)) = state.caches.as_mut() {
-            let graph = self.model.collaborative_kg().graph();
+            let graph = model.collaborative_kg().graph();
             evicted += members.invalidate_reachable(graph, &touched_ents).evicted;
             evicted += items.invalidate_reachable(graph, &touched_ents).evicted;
-            members.repair(self.model.eval_sampler(), graph);
-            items.repair(self.model.eval_sampler(), graph);
+            members.repair(model.eval_sampler(), graph);
+            items.repair(model.eval_sampler(), graph);
         }
         if kgag_obs::enabled() {
             match op {
@@ -243,16 +116,7 @@ impl<'m> DynamicScorer<'m> {
     }
 }
 
-impl BatchGroupScorer for DynamicScorer<'_> {
-    /// Infallible trait surface for the batcher. The serving front-end
-    /// pre-validates group and item ids at submit (`Status::Invalid` on
-    /// the wire), so a failure here is a caller bug.
-    fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
-        self.try_score_cases(cases).expect("unvalidated case reached the dynamic batch path")
-    }
-}
-
-impl GroupLifecycle for DynamicScorer<'_> {
+impl<M: Borrow<Kgag>> GroupLifecycle for Scorer<M> {
     fn apply_op(&self, op: &LifecycleOp) -> Result<LifecycleAck, LifecycleError> {
         self.apply(op)
     }
@@ -262,6 +126,6 @@ impl GroupLifecycle for DynamicScorer<'_> {
     }
 
     fn item_count(&self) -> u32 {
-        self.model.num_items()
+        self.num_items()
     }
 }

@@ -1,8 +1,8 @@
 //! The inference engine (DESIGN.md §14).
 //!
-//! Every serving path — [`crate::BatchScorer`], [`crate::DynamicScorer`],
-//! [`crate::RegistryModel`] and the sharded [`crate::RouterCore`] —
-//! scores through [`Engine`]: the ranking forward of §III-C/D
+//! Both serving paths — the local [`crate::Scorer`] (registry entries
+//! included) and the sharded [`crate::RouterCore`] — score through
+//! [`Engine`]: the ranking forward of §III-C/D
 //! (relation attention → H-hop propagation → SP/PI attention →
 //! read-out) run on the tape-free kernels of [`kgag_tensor::infer`],
 //! with no tape, no backward bookkeeping and no materialised

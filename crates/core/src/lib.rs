@@ -54,9 +54,9 @@ pub mod shard;
 pub mod trainer;
 
 pub use backend::{FusedAggregation, PropagationBackend};
-pub use batch::BatchScorer;
+pub use batch::Scorer;
 pub use config::{Aggregator, Backend, GroupLoss, KgagConfig};
-pub use dynamic::{ColdStartError, DynamicScorer};
+pub use dynamic::ColdStartError;
 pub use explain::GroupExplanation;
 pub use infer::ScoreTier;
 pub use registry::{

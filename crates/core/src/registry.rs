@@ -3,10 +3,11 @@
 //!
 //! Everything shipped before this module assumes one immutable
 //! checkpoint per process. [`ModelRegistry`] removes that assumption:
-//! it holds any number of [`RegistryModel`] entries, each keyed by the
-//! FNV-1a hash of its checkpoint bytes ([`checkpoint_hash`]), and maps
-//! *tenants* (traffic partitions: A/B arms, ablations, customers) onto
-//! them. Three invariants carry the serve-path bit-identity contract
+//! it holds any number of [`RegistryModel`] entries — each an owned
+//! [`Scorer`], the same scorer single-model serving borrows, keyed by
+//! the FNV-1a hash of its checkpoint bytes ([`checkpoint_hash`]) — and
+//! maps *tenants* (traffic partitions: A/B arms, ablations, customers)
+//! onto them. Three invariants carry the serve-path bit-identity contract
 //! into a world where the model can change under live traffic:
 //!
 //! 1. **Version pinning.** [`ModelRegistry::resolve`] hands back
@@ -32,10 +33,9 @@
 //! the wire protocol live in `kgag-serve`, which composes them around
 //! this state machine.
 
-use crate::batch::{env_batch_instances, score_local};
-use crate::dynamic::ColdStartError;
+use crate::batch::Scorer;
 use crate::trainer::Kgag;
-use kgag_kg::RfCache;
+use kgag_eval::BatchGroupScorer;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
@@ -97,105 +97,50 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// One registry entry: an owned checkpoint with its scoring state.
-///
-/// Unlike [`crate::BatchScorer`] (which borrows a [`Kgag`]), a
-/// `RegistryModel` *owns* its model and receptive-field caches, so
-/// entries can be loaded and retired at runtime without a borrow tying
-/// them to the process lifetime. Scoring goes through the same engine
-/// and driver as every other scorer — same chunking, same bits.
+/// One registry entry: an owned checkpoint's [`Scorer`] and the
+/// content hash it is keyed by. Owning the model lets entries be loaded
+/// and retired at runtime without a borrow tying them to the process
+/// lifetime; everything else — scoring, validation, introspection — is
+/// the scorer's, reached through `Deref`.
 pub struct RegistryModel {
-    model: Kgag,
-    caches: Option<(RfCache, RfCache)>,
+    scorer: Scorer<Kgag>,
     hash: u64,
-    batch_instances: usize,
 }
 
 impl std::fmt::Debug for RegistryModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegistryModel")
             .field("hash", &format_args!("{:016x}", self.hash))
-            .field("cached", &self.caches.is_some())
+            .field("cached", &self.cached())
             .finish_non_exhaustive()
     }
 }
 
 impl RegistryModel {
-    /// Build an entry with the receptive-field cache on or off. `hash`
-    /// is the checkpoint's [`checkpoint_hash`] (callers that trained the
-    /// model in-process hash `model.save_checkpoint()`).
-    pub fn new(model: Kgag, hash: u64, cache: bool) -> Self {
-        let caches = model.eval_rf_caches(cache);
-        RegistryModel { model, caches, hash, batch_instances: 256 }
-    }
-
-    /// An entry configured from the environment — same knobs as
-    /// [`Kgag::batch_scorer`] (`KGAG_RF_CACHE`, `KGAG_EVAL_BATCH`), so a
-    /// registry entry scores bit-identically to the single-model serve
-    /// path under any CI sweep.
-    pub fn from_env(model: Kgag, hash: u64) -> Self {
-        let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-        let entry = Self::new(model, hash, cache);
-        match env_batch_instances() {
-            Some(n) => entry.with_batch_instances(n),
-            None => entry,
-        }
-    }
-
-    /// Override the instances-per-chunk cap (bit-neutral; see
-    /// [`crate::BatchScorer::with_batch_instances`]).
-    ///
-    /// # Panics
-    /// Panics when `n == 0`.
-    pub fn with_batch_instances(mut self, n: usize) -> Self {
-        assert!(n > 0, "batch size must be positive");
-        self.batch_instances = n;
-        self
+    /// An entry over `scorer`. `hash` is the checkpoint's
+    /// [`checkpoint_hash`] (callers that trained the model in-process
+    /// hash `model.save_checkpoint()`).
+    pub fn new(scorer: Scorer<Kgag>, hash: u64) -> Self {
+        RegistryModel { scorer, hash }
     }
 
     /// The checkpoint content hash this entry is keyed by.
     pub fn hash(&self) -> u64 {
         self.hash
     }
+}
 
-    /// Catalog size of the owned checkpoint.
-    pub fn num_items(&self) -> u32 {
-        self.model.num_items()
+impl std::ops::Deref for RegistryModel {
+    type Target = Scorer<Kgag>;
+
+    fn deref(&self) -> &Scorer<Kgag> {
+        &self.scorer
     }
+}
 
-    /// Bound (trained) group count of the owned checkpoint.
-    pub fn num_groups(&self) -> u32 {
-        self.model.groups().len() as u32
-    }
-
-    /// The owned model, for read-only interrogation (explanations,
-    /// evaluation harnesses).
-    pub fn model(&self) -> &Kgag {
-        &self.model
-    }
-
-    /// Scores for a batch of `(group, candidate list)` cases against
-    /// the entry's bound groups — the shadow oracle *and* the serving
-    /// path, so asserting one against the other is exactly the
-    /// `serve_check` chunking-invariance discipline.
-    pub fn score_cases(&self, cases: &[(u32, Vec<u32>)]) -> Result<Vec<Vec<f32>>, ColdStartError> {
-        for &(g, ref items) in cases {
-            if g >= self.num_groups() {
-                return Err(ColdStartError::UnknownGroup(g));
-            }
-            if let Some(&v) = items.iter().find(|&&v| v >= self.model.num_items()) {
-                return Err(ColdStartError::UnknownItem(v));
-            }
-        }
-        let member_ents: Vec<Vec<u32>> =
-            cases.iter().map(|&(g, _)| self.model.member_entities(g)).collect();
-        Ok(score_local(
-            &self.model,
-            self.caches.as_ref(),
-            self.batch_instances,
-            &member_ents,
-            cases,
-        ))
+impl BatchGroupScorer for RegistryModel {
+    fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
+        self.scorer.score_cases(cases)
     }
 }
 
@@ -496,7 +441,7 @@ mod tests {
         let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
         let split = split_dataset(&ds, 11);
         let model = Kgag::new(&ds, &split, KgagConfig::default());
-        RegistryModel::new(model, hash, true)
+        RegistryModel::new(Scorer::new(model, true), hash)
     }
 
     fn prove(reg: &ModelRegistry, tenant: u32, hash: u64, n: u64) {
@@ -512,39 +457,6 @@ mod tests {
         assert_eq!(checkpoint_hash(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(checkpoint_hash(b"foobar"), 0x85944171f73967e8);
         assert_ne!(checkpoint_hash(b"ab"), checkpoint_hash(b"ba"));
-    }
-
-    #[test]
-    fn entry_scores_match_batch_scorer() {
-        let ds = yelp(&YelpConfig::at_scale(Scale::Tiny));
-        let split = split_dataset(&ds, 11);
-        let model = Kgag::new(&ds, &split, KgagConfig::default());
-        let want = {
-            let scorer = model.batch_scorer_with(true);
-            scorer.score_cases(&[(0, vec![0, 1, 2]), (1, vec![3, 4])])
-        };
-        let bytes = model.save_checkpoint();
-        let entry = RegistryModel::new(model, checkpoint_hash(&bytes), true);
-        let got = entry.score_cases(&[(0, vec![0, 1, 2]), (1, vec![3, 4])]).unwrap();
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
-            assert_eq!(g.to_bits(), w.to_bits(), "registry entry diverged from BatchScorer");
-        }
-    }
-
-    #[test]
-    fn entry_validates_bounds() {
-        let e = entry(1);
-        let bad_group = e.num_groups();
-        assert_eq!(
-            e.score_cases(&[(bad_group, vec![0])]),
-            Err(ColdStartError::UnknownGroup(bad_group))
-        );
-        let bad_item = e.num_items();
-        assert_eq!(
-            e.score_cases(&[(0, vec![bad_item])]),
-            Err(ColdStartError::UnknownItem(bad_item))
-        );
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! an out-of-range group or item id fails its case with
 //! [`ShardErrorKind::Invalid`].
 
-use crate::batch::{env_batch_instances, score_bucketed};
+use crate::batch::{score_bucketed, scoring_env};
 use crate::config::KgagConfig;
 use crate::infer::{Engine, ScoreTier, Tables};
 use crate::model::ModelParams;
@@ -259,16 +259,12 @@ impl Kgag {
         )
     }
 
-    /// A [`RouterCore`] configured from the environment, mirroring
-    /// [`Kgag::batch_scorer`]: `KGAG_RF_CACHE=0` disables the draw memo
-    /// and `KGAG_EVAL_BATCH` overrides the chunk cap.
+    /// A [`RouterCore`] configured from the environment by the same
+    /// reader as [`Kgag::batch_scorer`]: `KGAG_RF_CACHE=0` disables the
+    /// draw memo and `KGAG_EVAL_BATCH` overrides the chunk cap.
     pub fn router_core(&self) -> RouterCore {
-        let memo = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
-        let core = RouterCore::from_model(self, memo);
-        match env_batch_instances() {
-            Some(n) => core.with_batch_instances(n),
-            None => core,
-        }
+        let (memo, batch_instances) = scoring_env();
+        RouterCore::from_model(self, memo).with_batch_instances(batch_instances)
     }
 }
 
@@ -316,7 +312,7 @@ impl RouterCore {
     }
 
     /// Override the instances-per-chunk cap (bit-neutral, like
-    /// [`crate::BatchScorer::with_batch_instances`]).
+    /// [`crate::Scorer::with_batch_instances`]).
     ///
     /// # Panics
     /// Panics when `n == 0`.
@@ -383,7 +379,7 @@ impl RouterCore {
     }
 
     /// Score a batch of `(group, candidate items)` cases through
-    /// `fetch`, bit-identical to [`crate::BatchScorer::score_cases`].
+    /// `fetch`, bit-identical to [`crate::Scorer::score_cases`].
     ///
     /// Each case's result is `Ok(scores aligned with its items)` or the
     /// typed [`ShardError`] that prevented scoring it. Chunks are scored

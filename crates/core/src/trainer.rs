@@ -366,7 +366,7 @@ impl Kgag {
     }
 
     /// Snapshot the bound group table as a mutable lifecycle store —
-    /// the seed state of a [`crate::DynamicScorer`].
+    /// the roster a [`crate::Scorer`] starts from.
     pub fn group_store(&self) -> kgag_data::GroupStore {
         kgag_data::GroupStore::new(self.groups.clone(), self.ckg.num_users())
     }

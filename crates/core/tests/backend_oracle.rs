@@ -19,7 +19,7 @@
 //!
 //! The `backend` CI stage runs this file at `KGAG_THREADS` 1 and 4.
 
-use kgag::{Backend, Kgag, KgagConfig};
+use kgag::{Backend, Kgag, KgagConfig, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -64,7 +64,7 @@ fn served_scores(
     threads: usize,
 ) -> Vec<Vec<f32>> {
     with_threads(threads, || {
-        model.batch_scorer_with(cache).with_batch_instances(chunk).score_cases(cases)
+        Scorer::new(model, cache).with_batch_instances(chunk).score_cases(cases)
     })
 }
 

@@ -1,6 +1,6 @@
 //! The batched-inference oracle (the CI gate behind DESIGN.md §11).
 //!
-//! [`kgag::BatchScorer`] promises *bit-identical* scores to the
+//! [`kgag::Scorer`] promises *bit-identical* scores to the
 //! per-case [`Kgag::score_group_items`] path — with the receptive-field
 //! cache on or off, at any chunk size, and at any thread count. This
 //! suite trains the smoke model once and then drives both paths over
@@ -10,7 +10,7 @@
 //! splits inside a single process.
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{Kgag, KgagConfig};
+use kgag::{Kgag, KgagConfig, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -44,7 +44,7 @@ fn batch_scores_are_bit_identical_to_per_case_path() {
 
     for cache in [false, true] {
         for chunk in [1usize, 7, 256] {
-            let scorer = model.batch_scorer_with(cache).with_batch_instances(chunk);
+            let scorer = Scorer::new(&model, cache).with_batch_instances(chunk);
             assert_eq!(scorer.cached(), cache, "cache toggle must stick (use_kg model)");
             let cases: Vec<(u32, Vec<u32>)> = groups.iter().map(|&g| (g, items.clone())).collect();
             let batched = scorer.score_cases(&cases);
@@ -65,10 +65,10 @@ fn batch_scores_are_bit_identical_to_per_case_path() {
 fn score_case_matches_score_group_items() {
     let (ds, model, _) = smoke_model();
     let items: Vec<u32> = (0..ds.num_items).collect();
-    let scorer = model.batch_scorer_with(true);
+    let scorer = Scorer::new(&model, true);
     for g in 0..ds.num_groups().min(4) {
         let want = model.score_group_items(g, &items);
-        let got = scorer.score_case(g, &items);
+        let got = scorer.score_case(g, &items).unwrap();
         assert_eq!(want, got, "group {g}: score_case diverged from score_group_items");
     }
 }
@@ -85,7 +85,7 @@ fn batched_protocol_metrics_equal_sequential_metrics() {
         let (seq_summary, seq_cases) =
             evaluate_group_ranking_detailed(&model, model.num_items(), &cases, &ecfg);
         for cache in [false, true] {
-            let scorer = model.batch_scorer_with(cache).with_batch_instances(64);
+            let scorer = Scorer::new(&model, cache).with_batch_instances(64);
             let (bat_summary, bat_cases) =
                 evaluate_group_ranking_batched_detailed(&scorer, model.num_items(), &cases, &ecfg);
             assert_eq!(
@@ -109,7 +109,7 @@ fn batched_scoring_is_bit_identical_across_thread_counts() {
     let items: Vec<u32> = (0..ds.num_items).collect();
     let run = |threads: usize| {
         with_threads(threads, || {
-            let scorer = model.batch_scorer_with(true).with_batch_instances(32);
+            let scorer = Scorer::new(&model, true).with_batch_instances(32);
             scorer.score_cases(&[(0, items.clone()), (1, items.clone())])
         })
     };
@@ -132,10 +132,10 @@ fn ablation_without_kg_matches_per_case_path() {
     let mut model = Kgag::new(&ds, &split, cfg);
     with_threads(1, || model.fit(&split));
     let items: Vec<u32> = (0..ds.num_items).collect();
-    let scorer = model.batch_scorer_with(true);
+    let scorer = Scorer::new(&model, true);
     assert!(!scorer.cached(), "no KG means nothing to cache");
     let want = model.score_group_items(0, &items);
-    assert_eq!(scorer.score_case(0, &items), want, "ablation scores diverged");
+    assert_eq!(scorer.score_case(0, &items).unwrap(), want, "ablation scores diverged");
 }
 
 /// Explanations decompose the *served* score: the attention pass behind
@@ -146,10 +146,10 @@ fn ablation_without_kg_matches_per_case_path() {
 fn explanation_score_matches_served_score() {
     let (ds, model, _) = smoke_model();
     let items: Vec<u32> = (0..ds.num_items.min(8)).collect();
-    let scorer = model.batch_scorer_with(true);
+    let scorer = Scorer::new(&model, true);
     for g in 0..ds.num_groups().min(3) {
         let served = model.score_group_items(g, &items);
-        let batched = scorer.score_case(g, &items);
+        let batched = scorer.score_case(g, &items).unwrap();
         for (idx, &item) in items.iter().enumerate() {
             let explained = model.explain(g, item).score;
             assert_eq!(

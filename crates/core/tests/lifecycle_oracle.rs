@@ -1,6 +1,6 @@
 //! The dynamic-group lifecycle oracle (DESIGN.md §13).
 //!
-//! The [`kgag::DynamicScorer`] promises **mutate ≡ rebuild**: after any
+//! The [`kgag::Scorer`] promises **mutate ≡ rebuild**: after any
 //! interleaved sequence of create/join/leave mutations, every score it
 //! serves is bit-identical to tearing everything down and rebuilding —
 //! a fresh dataset carrying the *final* membership, a fresh model over
@@ -21,7 +21,7 @@
 //! rows, and every malformed input yields a typed error, never a panic.
 
 use kgag::harness::{eval_cases, EvalBucket};
-use kgag::{ColdStartError, Kgag, KgagConfig};
+use kgag::{ColdStartError, Kgag, KgagConfig, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::{split_dataset, DatasetSplit};
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -100,7 +100,7 @@ fn run_case(
     ops: &[(u32, u32, u32)],
     cache: bool,
 ) -> Result<(), String> {
-    let live = model.dynamic_scorer_with(cache);
+    let live = Scorer::new(model, cache);
     let mut mirror = model.group_store();
     for &(kind, a, b) in ops {
         let op = interpret(&mirror, ds.num_users, kind, a, b);
@@ -137,7 +137,7 @@ fn run_case(
     let ds2 = rebuilt_dataset(ds, mirror.groups());
     let mut rebuilt = Kgag::new(&ds2, split, model.config().clone());
     rebuilt.load_checkpoint(ckpt).expect("checkpoint shapes are membership-independent");
-    let oracle = rebuilt.batch_scorer_with(cache).score_cases(&cases);
+    let oracle = Scorer::new(&rebuilt, cache).score_cases(&cases);
     for (g, (got, want)) in served.iter().zip(&oracle).enumerate() {
         prop_assert_eq!(
             bits(got),
@@ -188,7 +188,7 @@ fn lifecycle_oracle_is_thread_and_cache_invariant() {
 #[test]
 fn created_nominal_size_group_scores_like_a_bound_group() {
     let (ds, _split, model, _ckpt) = smoke_model();
-    let live = model.dynamic_scorer_with(true);
+    let live = Scorer::new(&model, true);
     let members = ds.members(0).to_vec();
     // bound group 0's membership, re-created as a brand-new group id
     let ack = live.apply(&LifecycleOp::Create { members: members.clone() }).expect("valid create");
@@ -287,7 +287,7 @@ fn cold_start_rejects_bad_inputs_with_typed_errors() {
         Err(ColdStartError::UnknownItem(ds.num_items))
     );
 
-    let live = model.dynamic_scorer_with(false);
+    let live = Scorer::new(&model, false);
     assert_eq!(
         live.try_score_cases(&[(ds.num_groups() + 7, vec![0])]),
         Err(ColdStartError::UnknownGroup(ds.num_groups() + 7))

@@ -2,7 +2,7 @@
 //!
 //! [`kgag::RouterCore`] promises that scoring over *any* row
 //! partitioning of the model — 1 to N shards — is **bit-identical** to
-//! the single-node [`kgag::BatchScorer`] path, at any thread count and
+//! the single-node [`kgag::Scorer`] path, at any thread count and
 //! with the draw memo on or off. The property suite here drives random
 //! case batches over
 //! random 1–4-shard partitions through [`kgag::LocalFetch`] — the
@@ -18,7 +18,9 @@
 //! row that is not finite, and a group or item id out of range, fail
 //! only their own cases, typed.
 
-use kgag::{Kgag, KgagConfig, LocalFetch, RouterCore, ShardError, ShardErrorKind, ShardFetch};
+use kgag::{
+    Kgag, KgagConfig, LocalFetch, RouterCore, Scorer, ShardError, ShardErrorKind, ShardFetch,
+};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -75,7 +77,7 @@ fn sharded_scores_are_bit_identical_to_single_node() {
     let (ds, model) = smoke_model();
     let fetches = local_fetches(&model, 4);
     let (num_groups, num_items) = (ds.num_groups(), ds.num_items);
-    let scorer = model.batch_scorer_with(true);
+    let scorer = Scorer::new(&model, true);
     Runner::new("sharded_scores_are_bit_identical_to_single_node").run(
         &vec_of(u32_in(0..u32::MAX), 5..13),
         |words| {
@@ -160,7 +162,7 @@ fn dead_shard_yields_typed_errors_on_affected_cases_only() {
     let items: Vec<u32> = (0..ds.num_items).collect();
     let cases: Vec<(u32, Vec<u32>)> =
         (0..ds.num_groups().min(6)).map(|g| (g, items.clone())).collect();
-    let want = model.batch_scorer_with(true).score_cases(&cases);
+    let want = Scorer::new(&model, true).score_cases(&cases);
     let ckg = model.collaborative_kg();
     for count in [2usize, 3] {
         for dead in 0..count {
@@ -250,7 +252,7 @@ fn corrupt_peer_row_fails_only_the_cases_that_read_it() {
     let items: Vec<u32> = (0..ds.num_items).collect();
     let cases: Vec<(u32, Vec<u32>)> =
         (0..ds.num_groups().min(6)).map(|g| (g, items.clone())).collect();
-    let want = model.batch_scorer_with(true).score_cases(&cases);
+    let want = Scorer::new(&model, true).score_cases(&cases);
     let entity = model.collaborative_kg().user_entity(ds.groups[0][0]).0;
     let count = 3;
     let owner = kgag_kg::Partition::new(model.collaborative_kg().num_entities(), count)

@@ -47,6 +47,12 @@ pub trait BatchGroupScorer {
     fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>>;
 }
 
+impl<S: BatchGroupScorer + ?Sized> BatchGroupScorer for std::sync::Arc<S> {
+    fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
+        (**self).score_batch(cases)
+    }
+}
+
 /// Adapter running any per-case [`GroupScorer`] through the batched
 /// protocol one case at a time — the oracle the batched path is tested
 /// against, and a migration shim for models without a native batch

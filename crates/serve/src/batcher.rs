@@ -10,10 +10,13 @@
 //!   terminal [`ServeError`]. Shutdown drains the queue; nothing
 //!   accepted is dropped, nothing is answered twice.
 //! * **Fusion is value-neutral.** Workers only ever *group* requests
-//!   into [`BatchGroupScorer::score_batch`] calls; they never reorder
-//!   scores within a request or mix rows across requests. With a
-//!   chunking-invariant scorer (the engine's `BatchScorer`), served
+//!   into [`TryBatchGroupScorer::try_score_batch`] calls; they never
+//!   reorder scores within a request or mix rows across requests. With a
+//!   chunking-invariant scorer (the engine's `kgag::Scorer`), served
 //!   scores are bit-identical to any offline scoring of the same cases.
+//! * **Checked replies.** A result that does not fit its request (a
+//!   missing result, or a row whose length differs from the request's
+//!   items) is answered [`ServeError::Invalid`] for that request alone.
 //! * **Bounded memory.** The queue never exceeds
 //!   [`ServeConfig::queue_capacity`]; overflow is an immediate
 //!   [`ServeError::Rejected`], so a slow model sheds load instead of
@@ -191,21 +194,7 @@ pub fn serve_in_process<S, R>(
     f: impl FnOnce(ServeHandle) -> R,
 ) -> R
 where
-    S: kgag_eval::protocol::BatchGroupScorer + Sync + ?Sized,
-{
-    serve_in_process_try(&crate::InfallibleScorer(scorer), config, f)
-}
-
-/// [`serve_in_process`] for scorers whose cases can fail individually —
-/// the entry point the sharded [`ShardedScorer`](crate::ShardedScorer)
-/// uses, where a dead peer must fail only the requests that needed it.
-pub fn serve_in_process_try<S, R>(
-    scorer: &S,
-    config: &ServeConfig,
-    f: impl FnOnce(ServeHandle) -> R,
-) -> R
-where
-    S: TryBatchGroupScorer,
+    S: TryBatchGroupScorer + ?Sized,
 {
     let shared = Arc::new(Shared {
         state: Mutex::new(QueueState { queue: VecDeque::new(), open: true }),
@@ -244,7 +233,7 @@ impl Drop for DrainGuard {
 /// are created by `LOAD` requests and retired at runtime rather than
 /// scoped to a stack frame.
 ///
-/// Same delivery contract as [`serve_in_process_try`]: dropping the
+/// Same delivery contract as [`serve_in_process`]: dropping the
 /// guard (or calling [`shutdown`](Self::shutdown)) stops admissions,
 /// drains every accepted request, and joins the workers. The scorer is
 /// freed when the last `Arc` drops — after the workers exit.
@@ -282,7 +271,7 @@ impl Drop for BatcherGuard {
 /// owned scorer and return the [`BatcherGuard`] that drains and joins
 /// them on drop. The caller's pool thread-count override is captured
 /// here and re-applied inside each worker, exactly as
-/// [`serve_in_process_try`] does for scoped workers.
+/// [`serve_in_process`] does for scoped workers.
 pub fn spawn_batcher<S>(scorer: Arc<S>, config: &ServeConfig) -> BatcherGuard
 where
     S: TryBatchGroupScorer + Send + Sync + 'static,
@@ -405,14 +394,17 @@ fn score_and_respond<S: TryBatchGroupScorer + ?Sized>(
             return;
         }
     };
-    assert_eq!(
-        results.len(),
-        meta.len(),
-        "scorer broke the TryBatchGroupScorer contract: {} cases, {} results",
-        meta.len(),
-        results.len()
-    );
-    for (result, (tx, enqueued)) in results.into_iter().zip(meta) {
+    // The reply must match the request — one result per case, each row
+    // as long as its items. A case that breaks that contract (a scorer
+    // answering an id it cannot score with an empty row, or a miscount)
+    // is answered `Invalid` alone; its neighbours keep their scores.
+    let mut results = results.into_iter();
+    for ((_, items), (tx, enqueued)) in cases.iter().zip(meta) {
+        let result = match results.next() {
+            Some(Ok(row)) if row.len() != items.len() => Err(ServeError::Invalid),
+            Some(result) => result,
+            None => Err(ServeError::Invalid),
+        };
         shared.metrics.latency_ns.record(enqueued.elapsed().as_nanos() as u64);
         respond(shared, &tx, result);
     }

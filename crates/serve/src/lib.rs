@@ -1,23 +1,28 @@
 //! # kgag-serve
 //!
-//! A concurrent scoring front-end over any
-//! [`BatchGroupScorer`](kgag_eval::protocol::BatchGroupScorer): load a
-//! model once, share it read-only across threads, and turn many small
-//! independent `(group, candidates)` requests into the large fused
-//! batches the inference engine is fast at.
+//! A concurrent scoring front-end over any [`TryBatchGroupScorer`] —
+//! every [`BatchGroupScorer`](kgag_eval::protocol::BatchGroupScorer),
+//! such as the engine's [`kgag::Scorer`], is one: load a model once,
+//! share it read-only across threads, and turn many small independent
+//! `(group, candidates)` requests into the large fused batches the
+//! inference engine is fast at.
 //!
 //! The core is an **adaptive micro-batcher** ([`batcher`]): requests
 //! from any number of client threads land in one bounded queue; worker
 //! threads drain it in chunks, waiting up to a configurable latency
 //! budget ([`ServeConfig::batch_window`]) for more requests to fuse
-//! before calling
-//! [`score_batch`](kgag_eval::protocol::BatchGroupScorer::score_batch)
-//! once per chunk.
+//! before calling the scorer once per chunk.
 //! Because the engine's batched scorer is bit-identical at *any*
-//! chunking (the PR 4 oracle guarantee, re-enforced for serving by
+//! chunking (the batched-oracle guarantee, re-enforced for serving by
 //! `crates/bench/src/bin/serve_check.rs`), fusing arbitrary interleavings
 //! of concurrent requests is value-neutral: every client receives
 //! exactly the scores the offline evaluation path would have produced.
+//!
+//! Bad ids fail alone: `kgag::Scorer` answers a case naming an unknown
+//! group or item with an empty row, and the batcher checks every reply
+//! against its request (one result per case, each row as long as its
+//! items), answering a mismatch [`ServeError::Invalid`] — so the bad
+//! request's fused neighbours keep their scores and nothing panics.
 //!
 //! Three layers, innermost first:
 //!
@@ -55,10 +60,7 @@ pub mod server;
 pub mod shard;
 pub mod wire;
 
-pub use batcher::{
-    serve_in_process, serve_in_process_try, spawn_batcher, BatcherGuard, PendingResponse,
-    ServeHandle,
-};
+pub use batcher::{serve_in_process, spawn_batcher, BatcherGuard, PendingResponse, ServeHandle};
 pub use config::ServeConfig;
 pub use registry::{serve_tcp_registry, Governor, ModelFactory, RegistryConfig, RegistryServer};
 pub use server::{
@@ -82,7 +84,8 @@ pub enum ServeError {
     /// graceful shutdown drains the queue instead.
     Canceled,
     /// The wire-level request could not be decoded, or a score request
-    /// named an out-of-range item on a lifecycle-aware server.
+    /// named an out-of-range group or item (a lifecycle-aware server
+    /// answers an unknown group with [`ServeError::Lifecycle`] instead).
     Invalid,
     /// A lifecycle opcode reached a server without a lifecycle backend
     /// (static [`serve_tcp`]; mutations need
@@ -142,31 +145,23 @@ impl std::error::Error for ServeError {}
 pub type ServeResult = Result<Vec<f32>, ServeError>;
 
 /// A batch scorer whose cases can fail *individually* — the seam the
-/// batcher actually drains. Infallible scorers (anything implementing
-/// [`kgag_eval::protocol::BatchGroupScorer`]) are adapted automatically
-/// by the non-`_try` entry points, which wrap every row in `Ok`; the
-/// sharded [`ShardedScorer`] implements this directly, mapping per-case
-/// [`kgag::ShardError`]s to [`ServeError::Shard`] so one dead peer
-/// fails only the requests that needed it, never the whole batch.
+/// batcher drains. Every [`BatchGroupScorer`] is one (each row wrapped
+/// in `Ok`; the batcher answers a row whose length disagrees with its
+/// items [`ServeError::Invalid`]); the sharded [`ShardedScorer`]
+/// implements it directly, mapping per-case [`kgag::ShardError`]s to
+/// [`ServeError::Shard`] so one dead peer fails only the requests that
+/// needed it, never the whole batch.
+///
+/// [`BatchGroupScorer`]: kgag_eval::protocol::BatchGroupScorer
 pub trait TryBatchGroupScorer: Sync {
     /// One result per case, aligned with `cases`; `Ok` rows are aligned
     /// with that case's items.
     fn try_score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult>;
 }
 
-/// Adapter giving every infallible [`BatchGroupScorer`] the fallible
-/// interface. The non-`_try` entry points wrap in this internally;
-/// it is public so test harnesses (e.g. [`FaultScorer`] over a plain
-/// [`BatchGroupScorer`]) can compose the same adaptation explicitly.
-///
-/// [`BatchGroupScorer`]: kgag_eval::protocol::BatchGroupScorer
-pub struct InfallibleScorer<'a, S: ?Sized>(pub &'a S);
-
-impl<S: kgag_eval::protocol::BatchGroupScorer + Sync + ?Sized> TryBatchGroupScorer
-    for InfallibleScorer<'_, S>
-{
+impl<S: kgag_eval::protocol::BatchGroupScorer + Sync + ?Sized> TryBatchGroupScorer for S {
     fn try_score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult> {
-        self.0.score_batch(cases).into_iter().map(Ok).collect()
+        self.score_batch(cases).into_iter().map(Ok).collect()
     }
 }
 

@@ -32,7 +32,7 @@
 //! tenant has a staged candidate is mirrored through the *candidate's
 //! batcher* (arbitrary fusion with other traffic), then compared
 //! bit-for-bit against the candidate's own offline
-//! [`score_cases`](kgag::RegistryModel::score_cases) — the `serve_check`
+//! [`score_case`](kgag::Scorer::score_case) — the `serve_check`
 //! chunking-invariance oracle, applied continuously to live traffic.
 //! Verdicts feed [`kgag::ModelRegistry::record_shadow`]; one mismatch
 //! quarantines the candidate registry-wide. The mirrored scoring rides
@@ -41,12 +41,12 @@
 
 use crate::batcher::{spawn_batcher, BatcherGuard, ServeHandle};
 use crate::config::{parse_or, ServeConfig};
-use crate::server::{serve_connections, Dispatch, ShutdownToken};
+use crate::server::{answer, listen, serve_connections, ShutdownToken};
 use crate::wire::{Message, RegistryOp, Response, TenantRequest};
 use crate::{ServeError, ServeResult, TryBatchGroupScorer};
 use kgag::{checkpoint_hash, ModelRegistry, RegistryModel};
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -179,22 +179,6 @@ impl Governor {
     }
 }
 
-/// Adapter putting one registry entry behind the batcher's fallible
-/// scorer seam. Bounds are pre-validated on the connection thread, so a
-/// residual `score_cases` rejection here (a race against nothing — the
-/// entry is immutable) degrades to [`ServeError::Invalid`] per case
-/// rather than a panic.
-struct EntryScorer(Arc<RegistryModel>);
-
-impl TryBatchGroupScorer for EntryScorer {
-    fn try_score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult> {
-        match self.0.score_cases(cases) {
-            Ok(rows) => rows.into_iter().map(Ok).collect(),
-            Err(_) => cases.iter().map(|_| Err(ServeError::Invalid)).collect(),
-        }
-    }
-}
-
 /// Per-tenant telemetry handles, interned lazily under
 /// `registry.tenant<id>.*`.
 struct TenantMetrics {
@@ -275,7 +259,7 @@ impl RegistryServer {
     /// Make an already-built entry resident and spin up its batcher.
     /// The in-process twin of the wire's LOAD.
     pub fn install(&self, entry: RegistryModel) -> Result<u64, ServeError> {
-        self.install_with(entry, EntryScorer)
+        self.install_with(entry, |model| model)
     }
 
     /// [`install`](Self::install) with the entry's batcher scorer
@@ -288,20 +272,20 @@ impl RegistryServer {
         entry: RegistryModel,
         plan: kgag_testkit::FaultPlan,
     ) -> Result<u64, ServeError> {
-        self.install_with(entry, |m| crate::FaultScorer::new(EntryScorer(m), plan))
+        self.install_with(entry, |model| Arc::new(crate::FaultScorer::new(model, plan)))
     }
 
     fn install_with<S>(
         &self,
         entry: RegistryModel,
-        wrap: impl FnOnce(Arc<RegistryModel>) -> S,
+        wrap: impl FnOnce(Arc<RegistryModel>) -> Arc<S>,
     ) -> Result<u64, ServeError>
     where
         S: TryBatchGroupScorer + Send + Sync + 'static,
     {
         let hash = self.registry.load(entry).map_err(ServeError::Registry)?;
         let model = self.registry.entry(hash).expect("entry resident immediately after load");
-        let guard = spawn_batcher(Arc::new(wrap(model)), &self.cfg.serve);
+        let guard = spawn_batcher(wrap(model), &self.cfg.serve);
         self.batchers.lock().unwrap().insert(hash, guard);
         self.metrics.loads.add(1);
         Ok(hash)
@@ -334,11 +318,7 @@ impl RegistryServer {
         }
         let admission = self.registry.resolve(req.tenant).map_err(ServeError::Registry)?;
         self.metrics.tenant(req.tenant, |m| m.accepted.add(1));
-        let active = &admission.active;
-        if req.group >= active.num_groups() || req.items.iter().any(|&v| v >= active.num_items()) {
-            return Err(ServeError::Invalid);
-        }
-        let handle = match self.handle_of(active.hash()) {
+        let handle = match self.handle_of(admission.active.hash()) {
             Some(h) => h,
             None => return Err(ServeError::Rejected), // entry retired mid-resolve
         };
@@ -356,19 +336,20 @@ impl RegistryServer {
     /// Mirror every `shadow_sample`-th request onto the staged
     /// candidate and report the bit-identity verdict. The comparison is
     /// served-through-the-batcher (arbitrary fusion with whatever else
-    /// is queued) against the candidate's own offline `score_cases` of
+    /// is queued) against the candidate's own offline `score_case` of
     /// just this case — chunking invariance asserted on live traffic.
     fn maybe_shadow(&self, req: &TenantRequest, shadow: &Arc<RegistryModel>) {
         let n = self.cfg.shadow_sample;
         if n == 0 || self.shadow_tick.fetch_add(1, Ordering::Relaxed) % n != 0 {
             return;
         }
-        if req.group >= shadow.num_groups() || req.items.iter().any(|&v| v >= shadow.num_items()) {
+        let offline = match shadow.score_case(req.group, &req.items) {
+            Ok(row) => row,
             // The candidate cannot represent this request (smaller
             // catalog); that is a capability gap, not a scoring
             // divergence — skip rather than poison the verdict.
-            return;
-        }
+            Err(_) => return,
+        };
         let handle = match self.handle_of(shadow.hash()) {
             Some(h) => h,
             None => return,
@@ -376,10 +357,6 @@ impl RegistryServer {
         let served = match handle.submit(req.group, req.items.clone(), None) {
             Ok(pending) => pending.wait(),
             Err(_) => return, // shed shadow work is no verdict at all
-        };
-        let offline = match shadow.score_cases(&[(req.group, req.items.clone())]) {
-            Ok(mut rows) => rows.pop().unwrap_or_default(),
-            Err(_) => return,
         };
         let clean = match served {
             Ok(scores) => {
@@ -440,7 +417,9 @@ impl RegistryServer {
     }
 }
 
-impl Dispatch for RegistryServer {
+impl RegistryServer {
+    /// Route one decoded request: tenant scores and registry
+    /// transitions here, v2 opcodes answered unsupported.
     fn dispatch(&self, msg: Message) -> Response {
         match msg {
             Message::Tenant(req) => Response::from_result(req.id, self.score_tenant(&req)),
@@ -464,11 +443,9 @@ pub fn serve_tcp_registry(
     token: &ShutdownToken,
     on_ready: impl FnOnce(SocketAddr),
 ) -> std::io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
+    let (listener, local) = listen(addr)?;
     on_ready(local);
-    serve_connections(&listener, token, server);
+    serve_connections(&listener, token, &|payload: &[u8]| answer(payload, |m| server.dispatch(m)));
     Ok(())
 }
 

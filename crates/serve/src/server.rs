@@ -13,9 +13,7 @@
 //! applied *synchronously on the connection thread* — they never enter
 //! the batcher queue, so a mutation is fully applied (store + caches)
 //! before its ack is written, and any score request the same client
-//! sends afterwards sees the new membership. Score requests are
-//! pre-validated against the live group/item bounds here, keeping the
-//! infallible batch path panic-free. [`serve_tcp`] answers every
+//! sends afterwards sees the new membership. [`serve_tcp`] answers every
 //! lifecycle opcode [`ServeError::Unsupported`].
 //!
 //! Shutdown: trigger the [`ShutdownToken`]. The acceptor stops taking
@@ -25,7 +23,7 @@
 //! dropped — the same exactly-one-response contract as the in-process
 //! layer.
 
-use crate::batcher::{serve_in_process_try, ServeHandle};
+use crate::batcher::{serve_in_process, ServeHandle};
 use crate::config::ServeConfig;
 use crate::wire::{self, LifecycleRequest, Message, Reply, Request, Response};
 use crate::{ServeError, ServeResult, TryBatchGroupScorer};
@@ -37,12 +35,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often the acceptor re-checks the shutdown token while idle.
-/// Shared with the shard server (`crate::shard`), which runs the same
-/// accept-loop shape.
-pub(crate) const ACCEPT_POLL: Duration = Duration::from_millis(2);
+const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// Read timeout per connection: the cadence at which handlers notice a
 /// triggered token on an otherwise-quiet socket.
-pub(crate) const READ_POLL: Duration = Duration::from_millis(50);
+const READ_POLL: Duration = Duration::from_millis(50);
 
 /// A cloneable one-way shutdown switch shared between the server and
 /// whoever decides it is done (signal handler, test, CLI stdin watcher).
@@ -71,7 +67,10 @@ impl ShutdownToken {
 /// reports the bound address through `on_ready` once the batcher is
 /// accepting, then runs the accept loop on the calling thread. Returns
 /// after a graceful drain: every request accepted before shutdown has
-/// been answered and all connection threads have exited.
+/// been answered and all connection threads have exited. Per-case
+/// failures (an out-of-range id, a dead shard peer) surface as typed
+/// wire errors on exactly the requests that hit them; the connection
+/// stays usable.
 pub fn serve_tcp<S>(
     scorer: &S,
     config: &ServeConfig,
@@ -80,15 +79,13 @@ pub fn serve_tcp<S>(
     on_ready: impl FnOnce(SocketAddr),
 ) -> std::io::Result<()>
 where
-    S: kgag_eval::protocol::BatchGroupScorer + Sync + ?Sized,
+    S: TryBatchGroupScorer + ?Sized,
 {
-    serve_tcp_inner(&crate::InfallibleScorer(scorer), None, config, addr, token, on_ready)
+    serve_tcp_inner(scorer, None, config, addr, token, on_ready)
 }
 
-/// [`serve_tcp`] for fallible scorers — the front door of a sharded
-/// deployment (`kgag serve --shards …`). Per-case failures surface as
-/// typed wire errors (status bytes 24..=26) on exactly the requests
-/// that hit them; the connection stays usable.
+/// [`serve_tcp`] under the name the sharded front door
+/// (`kgag serve --shards …`) is served by.
 pub fn serve_tcp_try<S>(
     scorer: &S,
     config: &ServeConfig,
@@ -97,15 +94,15 @@ pub fn serve_tcp_try<S>(
     on_ready: impl FnOnce(SocketAddr),
 ) -> std::io::Result<()>
 where
-    S: TryBatchGroupScorer,
+    S: TryBatchGroupScorer + ?Sized,
 {
-    serve_tcp_inner(scorer, None, config, addr, token, on_ready)
+    serve_tcp(scorer, config, addr, token, on_ready)
 }
 
 /// [`serve_tcp`] plus a live group table: create/join/leave opcodes are
 /// applied through `lifecycle` and score requests are bounds-checked
 /// against it. Pass the same object as `scorer` and `lifecycle` (a
-/// `DynamicScorer` implements both traits) so scores always read the
+/// `kgag::Scorer` implements both traits) so scores always read the
 /// membership that mutations write.
 pub fn serve_tcp_dynamic<S>(
     scorer: &S,
@@ -116,16 +113,9 @@ pub fn serve_tcp_dynamic<S>(
     on_ready: impl FnOnce(SocketAddr),
 ) -> std::io::Result<()>
 where
-    S: kgag_eval::protocol::BatchGroupScorer + Sync + ?Sized,
+    S: TryBatchGroupScorer + ?Sized,
 {
-    serve_tcp_inner(
-        &crate::InfallibleScorer(scorer),
-        Some(lifecycle),
-        config,
-        addr,
-        token,
-        on_ready,
-    )
+    serve_tcp_inner(scorer, Some(lifecycle), config, addr, token, on_ready)
 }
 
 fn serve_tcp_inner<S>(
@@ -137,44 +127,40 @@ fn serve_tcp_inner<S>(
     on_ready: impl FnOnce(SocketAddr),
 ) -> std::io::Result<()>
 where
-    S: TryBatchGroupScorer,
+    S: TryBatchGroupScorer + ?Sized,
 {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    serve_in_process_try(scorer, config, |handle| {
+    let (listener, local) = listen(addr)?;
+    serve_in_process(scorer, config, |handle| {
         on_ready(local);
-        let dispatch = BatcherDispatch { handle, lifecycle };
-        serve_connections(&listener, token, &dispatch);
+        let answer_one = |payload: &[u8]| answer(payload, |msg| dispatch(&handle, lifecycle, msg));
+        serve_connections(&listener, token, &answer_one);
     });
     Ok(())
 }
 
-/// What a server *does* with a decoded request — the seam between the
-/// shared framing/connection machinery and the two dispatch models:
-/// single-model ([`BatcherDispatch`]: one batcher, optional lifecycle
-/// backend) and multi-tenant (`crate::registry`: per-entry batchers
-/// behind admission control). One call handles one request and must
-/// return exactly one response.
-pub(crate) trait Dispatch: Sync {
-    fn dispatch(&self, msg: Message) -> Response;
+/// Bind a nonblocking listener on `addr`, returning it with the bound
+/// address — the first step of every TCP server here.
+pub(crate) fn listen(addr: &str) -> std::io::Result<(TcpListener, SocketAddr)> {
+    let listener = TcpListener::bind(addr)?;
+    listener.set_nonblocking(true)?;
+    let local = listener.local_addr()?;
+    Ok((listener, local))
 }
 
-/// Accept-loop body shared by every TCP front door: take connections
-/// until the token triggers, one scoped OS thread per connection, all
-/// answering through `dispatch`. The listener must already be
-/// nonblocking.
-pub(crate) fn serve_connections<D: Dispatch>(
-    listener: &TcpListener,
-    token: &ShutdownToken,
-    dispatch: &D,
-) {
+/// Accept-loop body shared by every TCP server — the scoring front
+/// doors and the shard server: take connections until the token
+/// triggers, one scoped OS thread per connection, each answering every
+/// request payload with the reply frame `handler` returns for it.
+pub(crate) fn serve_connections<H>(listener: &TcpListener, token: &ShutdownToken, handler: &H)
+where
+    H: Fn(&[u8]) -> Vec<u8> + Sync,
+{
     std::thread::scope(|s| {
         while !token.is_triggered() {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     let token = token.clone();
-                    s.spawn(move || handle_connection(stream, dispatch, token));
+                    s.spawn(move || handle_connection(stream, handler, token));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
                 Err(e) => {
@@ -193,7 +179,10 @@ pub(crate) fn serve_connections<D: Dispatch>(
 /// each in order. Partial frames survive read timeouts — the buffer is
 /// only advanced on whole frames, so a client dribbling bytes across
 /// timeout boundaries is handled correctly.
-fn handle_connection<D: Dispatch + ?Sized>(stream: TcpStream, dispatch: &D, token: ShutdownToken) {
+fn handle_connection<H>(stream: TcpStream, handler: &H, token: ShutdownToken)
+where
+    H: Fn(&[u8]) -> Vec<u8>,
+{
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut stream = stream;
@@ -203,7 +192,7 @@ fn handle_connection<D: Dispatch + ?Sized>(stream: TcpStream, dispatch: &D, toke
         loop {
             match wire::take_frame(&mut buf) {
                 Ok(Some(payload)) => {
-                    if !answer(&mut stream, dispatch, &payload) {
+                    if wire::write_frame(&mut stream, &handler(&payload)).is_err() {
                         return;
                     }
                 }
@@ -226,14 +215,15 @@ fn handle_connection<D: Dispatch + ?Sized>(stream: TcpStream, dispatch: &D, toke
     }
 }
 
-/// Decode, dispatch, write the response. Returns `false` when the
-/// connection is unusable and should close.
-fn answer<D: Dispatch + ?Sized>(stream: &mut TcpStream, dispatch: &D, payload: &[u8]) -> bool {
+/// Decode one front-door request, dispatch it, and encode the response
+/// frame. One call handles one request and returns exactly one
+/// response.
+pub(crate) fn answer(payload: &[u8], dispatch: impl FnOnce(Message) -> Response) -> Vec<u8> {
     let response = match wire::decode_request(payload) {
-        Ok(msg) => dispatch.dispatch(msg),
+        Ok(msg) => dispatch(msg),
         Err(_) => Response { id: wire::salvage_id(payload), reply: Err(ServeError::Invalid) },
     };
-    let frame = match wire::encode_response(&response) {
+    match wire::encode_response(&response) {
         Ok(frame) => frame,
         // A response too large for one frame (pathological score count)
         // degrades to a typed error under the same correlation id —
@@ -242,8 +232,7 @@ fn answer<D: Dispatch + ?Sized>(stream: &mut TcpStream, dispatch: &D, payload: &
             let fallback = Response { id: response.id, reply: Err(ServeError::Invalid) };
             wire::encode_response(&fallback).expect("error responses fit one frame")
         }
-    };
-    wire::write_frame(stream, &frame).is_ok()
+    }
 }
 
 /// The single-model dispatch: scores through one shared batcher,
@@ -251,25 +240,21 @@ fn answer<D: Dispatch + ?Sized>(stream: &mut TcpStream, dispatch: &D, payload: &
 /// protocol-v3 opcode answered [`ServeError::Unsupported`] — this
 /// server has no registry, exactly as a lifecycle opcode is
 /// unsupported on a static server.
-struct BatcherDispatch<'a> {
-    handle: ServeHandle,
-    lifecycle: Option<&'a (dyn GroupLifecycle + Sync)>,
-}
-
-impl Dispatch for BatcherDispatch<'_> {
-    fn dispatch(&self, msg: Message) -> Response {
-        match msg {
-            Message::Score(req) => {
-                let outcome = score_request(&self.handle, self.lifecycle, &req);
-                Response::from_result(req.id, outcome)
-            }
-            Message::Lifecycle(LifecycleRequest { id, op }) => match self.lifecycle {
-                Some(l) => Response::from_ack(id, l.apply_op(&op)),
-                None => Response { id, reply: Err(ServeError::Unsupported) },
-            },
-            Message::Tenant(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
-            Message::Registry(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
+fn dispatch(
+    handle: &ServeHandle,
+    lifecycle: Option<&(dyn GroupLifecycle + Sync)>,
+    msg: Message,
+) -> Response {
+    match msg {
+        Message::Score(req) => {
+            Response::from_result(req.id, score_request(handle, lifecycle, &req))
         }
+        Message::Lifecycle(LifecycleRequest { id, op }) => match lifecycle {
+            Some(l) => Response::from_ack(id, l.apply_op(&op)),
+            None => Response { id, reply: Err(ServeError::Unsupported) },
+        },
+        Message::Tenant(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
+        Message::Registry(req) => Response { id: req.id, reply: Err(ServeError::Unsupported) },
     }
 }
 
@@ -286,9 +271,10 @@ pub(crate) fn wire_deadline(deadline_us: u64) -> Option<Instant> {
 }
 
 /// Submit one score request to the batcher and wait. With a lifecycle
-/// backend, group and item ids are bounds-checked first: the dynamic
-/// scorer's batch path is infallible by contract, so out-of-range ids
-/// must be turned into typed errors here rather than reach it.
+/// backend, group and item ids are bounds-checked first, so an unknown
+/// group is answered with the lifecycle status a client that mutates
+/// groups expects; without one, the batcher's reply check answers an
+/// out-of-range id [`ServeError::Invalid`].
 fn score_request(
     handle: &ServeHandle,
     lifecycle: Option<&(dyn GroupLifecycle + Sync)>,

@@ -46,13 +46,13 @@
 //! normally, and nothing panics or hangs.
 
 use crate::config::parse_or;
-use crate::server::{ShutdownToken, ACCEPT_POLL, READ_POLL};
-use crate::wire::{self, MAX_FRAME};
+use crate::server::{listen, serve_connections, ShutdownToken};
+use crate::wire::{self, Cursor, MAX_FRAME};
 use crate::{ServeError, ServeResult, TryBatchGroupScorer};
 use kgag::{RouterCore, ShardError, ShardErrorKind, ShardFetch};
 use kgag_kg::{Partition, ShardState};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -148,81 +148,27 @@ fn encode_rows(table: u8, ids: &[u32]) -> Vec<u8> {
     p
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        if self.pos + n > self.buf.len() {
-            return Err(format!("truncated shard request at byte {}", self.pos));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn ids(&mut self) -> Result<Vec<u32>, String> {
-        let n = self.u32()? as usize;
-        // the length prefix must be consistent with the bytes actually
-        // present — a lying count is a framing error, not a short read
-        if self.buf.len() - self.pos < n * 4 {
-            return Err(format!("id list claims {n} ids but body is short"));
-        }
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(self.u32()?);
-        }
-        Ok(ids)
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.pos != self.buf.len() {
-            return Err(format!(
-                "{} trailing bytes after shard request",
-                self.buf.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
-}
-
 fn decode_shard_request(payload: &[u8]) -> Result<ShardRequest, String> {
-    let mut c = Cursor { buf: payload, pos: 0 };
+    let mut c = Cursor::new(payload);
     let op = c.u8().map_err(|_| "empty shard request".to_owned())?;
-    let req = match op {
-        OP_SHARD_INFO => ShardRequest::Info,
+    match op {
+        OP_SHARD_INFO => c.finish("shard info").map(|()| ShardRequest::Info),
         OP_SHARD_DRAWS => {
             let salt = c.u64()?;
             let level = c.u32()?;
-            let ids = c.ids()?;
-            ShardRequest::Draws { salt, level, ids }
+            let ids = c.u32_list("id")?;
+            Ok(ShardRequest::Draws { salt, level, ids })
         }
         OP_SHARD_ROWS => {
             let table = c.u8()?;
             if table != TABLE_ENTITY && table != TABLE_RELATION {
                 return Err(format!("unknown row table {table}"));
             }
-            let ids = c.ids()?;
-            ShardRequest::Rows { table, ids }
+            let ids = c.u32_list("id")?;
+            Ok(ShardRequest::Rows { table, ids })
         }
-        other => return Err(format!("unknown shard opcode {other}")),
-    };
-    c.finish()?;
-    Ok(req)
+        other => Err(format!("unknown shard opcode {other}")),
+    }
 }
 
 /// Split a shard reply into its ok-body, or the refusal reason.
@@ -248,99 +194,42 @@ fn err_reply(msg: &str) -> Vec<u8> {
     p
 }
 
-/// Length-prefix `payload` into one frame; `None` when it exceeds
-/// [`MAX_FRAME`] (the caller degrades to an error reply, which always
-/// fits).
-fn into_frame(payload: &[u8]) -> Option<Vec<u8>> {
-    if payload.len() > MAX_FRAME {
-        return None;
-    }
-    let mut f = Vec::with_capacity(4 + payload.len());
-    f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    f.extend_from_slice(payload);
-    Some(f)
-}
-
 // ---------------------------------------------------------------------------
 // Shard server
 // ---------------------------------------------------------------------------
 
 /// Serve one shard's slice over TCP until `token` is triggered.
 ///
-/// Mirrors [`crate::serve_tcp`]'s accept loop: binds `addr` (use
-/// `127.0.0.1:0` for an ephemeral port), reports the bound address
-/// through `on_ready`, then accepts router connections on the calling
-/// thread — one handler thread per connection, requests answered
-/// synchronously in order. Shards are stateless request/reply servers;
-/// all batching, caching and fusion lives on the router.
+/// Runs the front door's accept and connection loops
+/// ([`crate::serve_tcp`]): binds `addr` (use `127.0.0.1:0` for an
+/// ephemeral port), reports the bound address through `on_ready`, then
+/// accepts router connections on the calling thread — one handler
+/// thread per connection, requests answered synchronously in order.
+/// Shards are stateless request/reply servers; all batching, caching
+/// and fusion lives on the router.
 pub fn serve_shard(
     state: &ShardState,
     addr: &str,
     token: &ShutdownToken,
     on_ready: impl FnOnce(SocketAddr),
 ) -> std::io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
+    let (listener, local) = listen(addr)?;
     on_ready(local);
-    std::thread::scope(|s| {
-        while !token.is_triggered() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let token = token.clone();
-                    s.spawn(move || shard_connection(stream, state, token));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-                Err(e) => {
-                    eprintln!("[kgag-serve] shard accept error: {e}");
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-            }
-        }
-    });
+    serve_connections(&listener, token, &|payload: &[u8]| shard_frame(state, payload));
     Ok(())
 }
 
-/// Per-connection loop: identical framing discipline to the scoring
-/// server — partial frames survive read timeouts, an invalid length
-/// prefix drops the connection.
-fn shard_connection(stream: TcpStream, state: &ShardState, token: ShutdownToken) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut stream = stream;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 4096];
-    loop {
-        loop {
-            match wire::take_frame(&mut buf) {
-                Ok(Some(payload)) => {
-                    let reply = match answer_shard(state, &payload) {
-                        Ok(body) => ok_reply(&body),
-                        Err(msg) => err_reply(&msg),
-                    };
-                    let frame = into_frame(&reply).unwrap_or_else(|| {
-                        into_frame(&err_reply("reply exceeds MAX_FRAME"))
-                            .expect("error replies fit one frame")
-                    });
-                    if stream.write_all(&frame).and_then(|()| stream.flush()).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return,
-            }
-        }
-        if token.is_triggered() {
-            return;
-        }
-        match stream.read(&mut tmp) {
-            Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
+/// Answer one shard request as a reply frame: a status byte, then the
+/// body or the refusal reason. A reply too large for one frame degrades
+/// to a refusal, which always fits.
+fn shard_frame(state: &ShardState, payload: &[u8]) -> Vec<u8> {
+    let reply = match answer_shard(state, payload) {
+        Ok(body) => ok_reply(&body),
+        Err(msg) => err_reply(&msg),
+    };
+    wire::frame(&reply).unwrap_or_else(|_| {
+        wire::frame(&err_reply("reply exceeds MAX_FRAME")).expect("error replies fit one frame")
+    })
 }
 
 /// Decode and answer one shard request. Ownership is pre-validated so a
@@ -442,8 +331,7 @@ enum Transport {
 }
 
 fn transact(stream: &mut TcpStream, request: &[u8]) -> Result<Vec<u8>, Transport> {
-    let frame =
-        into_frame(request).ok_or(Transport::App(ShardErrorKind::Protocol))? /* oversize request */;
+    let frame = wire::frame(request).map_err(|_| Transport::App(ShardErrorKind::Protocol))?;
     stream
         .write_all(&frame)
         .and_then(|()| stream.flush())
@@ -735,7 +623,7 @@ impl ShardPool {
 
 /// The router's batch scorer: a [`RouterCore`] fused over a
 /// [`ShardPool`]. Implements [`TryBatchGroupScorer`] — serve it with
-/// [`crate::serve_tcp_try`] — and fails *per case*: out-of-range ids
+/// [`crate::serve_tcp`] — and fails *per case*: out-of-range ids
 /// become [`ServeError::Invalid`], shard failures become
 /// [`ServeError::Shard`] on exactly the requests that needed the
 /// failing peer.
@@ -775,28 +663,18 @@ impl ShardedScorer {
 
 impl TryBatchGroupScorer for ShardedScorer {
     fn try_score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<ServeResult> {
-        // Bounds are validated here because RouterCore::score_cases
-        // asserts them — a malformed wire request must become a typed
-        // error, not a router panic.
-        let mut out: Vec<Option<ServeResult>> = vec![None; cases.len()];
-        let mut valid_idx = Vec::with_capacity(cases.len());
-        let mut valid_cases = Vec::with_capacity(cases.len());
-        for (i, (group, items)) in cases.iter().enumerate() {
-            if *group >= self.core.num_groups() || items.iter().any(|&v| v >= self.core.num_items())
-            {
-                out[i] = Some(Err(ServeError::Invalid));
-            } else {
-                valid_idx.push(i);
-                valid_cases.push((*group, items.clone()));
-            }
-        }
-        if !valid_cases.is_empty() {
-            let results = self.core.score_cases(&self.pool, &valid_cases);
-            for (i, r) in valid_idx.into_iter().zip(results) {
-                out[i] = Some(r.map_err(|e| ServeError::Shard(e.kind)));
-            }
-        }
-        out.into_iter().map(|o| o.expect("every case resolved")).collect()
+        // the router validates ids itself: a bad one is `Invalid` on
+        // its own case, attributed to no peer
+        let scored = self.core.score_cases(&self.pool, cases);
+        scored
+            .into_iter()
+            .map(|r| {
+                r.map_err(|e| match e.kind {
+                    ShardErrorKind::Invalid => ServeError::Invalid,
+                    kind => ServeError::Shard(kind),
+                })
+            })
+            .collect()
     }
 }
 
@@ -886,7 +764,7 @@ mod tests {
     #[test]
     fn shard_frames_reassemble_byte_at_a_time() {
         let reply = ok_reply(&encode_draws(1, 0, &[5, 6]));
-        let frame = into_frame(&reply).unwrap();
+        let frame = wire::frame(&reply).unwrap();
         let mut buf = Vec::new();
         let mut seen = None;
         for (i, &b) in frame.iter().enumerate() {
@@ -905,7 +783,7 @@ mod tests {
 
     #[test]
     fn oversize_frames_are_rejected_at_both_ends() {
-        assert!(into_frame(&vec![0u8; MAX_FRAME + 1]).is_none());
+        assert!(wire::frame(&vec![0u8; MAX_FRAME + 1]).is_err());
         let mut buf = (MAX_FRAME as u32 + 1).to_le_bytes().to_vec();
         buf.extend_from_slice(&[0; 8]);
         assert!(wire::take_frame(&mut buf).is_err(), "oversize length prefix poisons the stream");

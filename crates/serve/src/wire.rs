@@ -95,6 +95,17 @@ fn check_frame(payload_len: usize) -> Result<usize, FrameTooLarge> {
     }
 }
 
+/// Length-prefix `payload` into one frame, refusing payloads over
+/// [`MAX_FRAME`] — the framing every connection here speaks, shard
+/// links included.
+pub(crate) fn frame(payload: &[u8]) -> Result<Vec<u8>, FrameTooLarge> {
+    check_frame(payload.len())?;
+    let mut out = Vec::with_capacity(4 + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    Ok(out)
+}
+
 /// Request opcodes (the payload's leading byte).
 pub const OP_SCORE: u8 = 0;
 pub const OP_CREATE: u8 = 1;
@@ -372,10 +383,7 @@ pub fn encode_lifecycle(req: &LifecycleRequest) -> Result<Vec<u8>, FrameTooLarge
         }
     }
     debug_assert_eq!(payload.len(), payload_len);
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    Ok(out)
+    frame(&payload)
 }
 
 /// Encode a tenant-tagged score request as one frame (length prefix
@@ -443,54 +451,29 @@ pub fn encode_registry(req: &RegistryRequest) -> Result<Vec<u8>, FrameTooLarge> 
         }
     }
     debug_assert_eq!(payload.len(), payload_len);
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    Ok(out)
+    frame(&payload)
 }
 
 /// Decode a request payload (frame prefix already stripped).
 pub fn decode_request(payload: &[u8]) -> Result<Message, String> {
-    let mut c = Cursor { buf: payload, pos: 0 };
+    let mut c = Cursor::new(payload);
     let op = c.u8()?;
     let id = c.u64()?;
     match op {
         OP_SCORE => {
             let group = c.u32()?;
             let deadline_us = c.u64()?;
-            let n = c.u32()? as usize;
-            if payload.len() - c.pos != 4 * n {
-                return Err(format!(
-                    "item count {n} disagrees with payload ({} trailing bytes)",
-                    payload.len() - c.pos
-                ));
-            }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(c.u32()?);
-            }
+            let items = c.u32_list("item")?;
             Ok(Message::Score(Request { id, group, deadline_us, items }))
         }
         OP_CREATE => {
-            let n = c.u32()? as usize;
-            if payload.len() - c.pos != 4 * n {
-                return Err(format!(
-                    "member count {n} disagrees with payload ({} trailing bytes)",
-                    payload.len() - c.pos
-                ));
-            }
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                members.push(c.u32()?);
-            }
+            let members = c.u32_list("member")?;
             Ok(Message::Lifecycle(LifecycleRequest { id, op: LifecycleOp::Create { members } }))
         }
         OP_JOIN | OP_LEAVE => {
             let group = c.u32()?;
             let user = c.u32()?;
-            if c.pos != payload.len() {
-                return Err(format!("{} trailing bytes after join/leave", payload.len() - c.pos));
-            }
+            c.finish("join/leave")?;
             let op = if op == OP_JOIN {
                 LifecycleOp::Join { group, user }
             } else {
@@ -502,17 +485,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Message, String> {
             let tenant = c.u32()?;
             let group = c.u32()?;
             let deadline_us = c.u64()?;
-            let n = c.u32()? as usize;
-            if payload.len() - c.pos != 4 * n {
-                return Err(format!(
-                    "item count {n} disagrees with payload ({} trailing bytes)",
-                    payload.len() - c.pos
-                ));
-            }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(c.u32()?);
-            }
+            let items = c.u32_list("item")?;
             Ok(Message::Tenant(TenantRequest { id, tenant, group, deadline_us, items }))
         }
         OP_LOAD => {
@@ -531,18 +504,14 @@ pub fn decode_request(payload: &[u8]) -> Result<Message, String> {
         OP_BIND => {
             let tenant = c.u32()?;
             let hash = c.u64()?;
-            if c.pos != payload.len() {
-                return Err(format!("{} trailing bytes after bind", payload.len() - c.pos));
-            }
+            c.finish("bind")?;
             Ok(Message::Registry(RegistryRequest { id, op: RegistryOp::Bind { tenant, hash } }))
         }
         OP_SHADOW => {
             let tenant = c.u32()?;
             let hash = c.u64()?;
             let min_clean = c.u64()?;
-            if c.pos != payload.len() {
-                return Err(format!("{} trailing bytes after shadow", payload.len() - c.pos));
-            }
+            c.finish("shadow")?;
             Ok(Message::Registry(RegistryRequest {
                 id,
                 op: RegistryOp::Shadow { tenant, hash, min_clean },
@@ -550,12 +519,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Message, String> {
         }
         OP_PROMOTE | OP_ROLLBACK => {
             let tenant = c.u32()?;
-            if c.pos != payload.len() {
-                return Err(format!(
-                    "{} trailing bytes after promote/rollback",
-                    payload.len() - c.pos
-                ));
-            }
+            c.finish("promote/rollback")?;
             let op = if op == OP_PROMOTE {
                 RegistryOp::Promote { tenant }
             } else {
@@ -565,9 +529,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Message, String> {
         }
         OP_RETIRE => {
             let hash = c.u64()?;
-            if c.pos != payload.len() {
-                return Err(format!("{} trailing bytes after retire", payload.len() - c.pos));
-            }
+            c.finish("retire")?;
             Ok(Message::Registry(RegistryRequest { id, op: RegistryOp::Retire { hash } }))
         }
         other => Err(format!("unknown opcode {other}")),
@@ -636,34 +598,22 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, FrameTooLarge> {
 
 /// Decode a response payload (frame prefix already stripped).
 pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
-    let mut c = Cursor { buf: payload, pos: 0 };
+    let mut c = Cursor::new(payload);
     let id = c.u64()?;
     let status = c.u8()?;
     let reply = match status {
         b if b == Status::Ok as u8 => {
-            let n = c.u32()? as usize;
-            if payload.len() - c.pos != 4 * n {
-                return Err(format!("score count {n} disagrees with payload"));
-            }
-            let mut scores = Vec::with_capacity(n);
-            for _ in 0..n {
-                scores.push(f32::from_bits(c.u32()?));
-            }
-            Ok(Reply::Scores(scores))
+            Ok(Reply::Scores(c.u32_list("score")?.into_iter().map(f32::from_bits).collect()))
         }
         b if b == Status::Ack as u8 => {
             let group = c.u32()?;
             let members = c.u32()?;
-            if c.pos != payload.len() {
-                return Err("trailing bytes after ack".to_owned());
-            }
+            c.finish("ack")?;
             Ok(Reply::Ack(LifecycleAck { group, members }))
         }
         b if b == Status::RegistryAck as u8 => {
             let hash = c.u64()?;
-            if c.pos != payload.len() {
-                return Err("trailing bytes after registry ack".to_owned());
-            }
+            c.finish("registry ack")?;
             Ok(Reply::RegistryAck(hash))
         }
         b if b == Status::Rejected as u8 => Err(ServeError::Rejected),
@@ -684,8 +634,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
             },
         },
     };
-    if matches!(reply, Err(_)) && c.pos != payload.len() {
-        return Err("trailing bytes after error status".to_owned());
+    if reply.is_err() {
+        c.finish("error status")?;
     }
     Ok(Response { id, reply })
 }
@@ -729,14 +679,20 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-struct Cursor<'a> {
+/// A bounds-checked little-endian reader over one payload: every read
+/// past the end is an `Err`, never a panic.
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        if self.pos + n > self.buf.len() {
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf, pos: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if self.buf.len() - self.pos < n {
             return Err(format!("truncated payload at byte {}", self.pos));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -744,16 +700,37 @@ impl Cursor<'_> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
+    pub(crate) fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// A `u32` count, then that many `u32`s filling exactly the rest of
+    /// the payload — a count that disagrees with the bytes present is a
+    /// framing error, not a short read.
+    pub(crate) fn u32_list(&mut self, what: &str) -> Result<Vec<u32>, String> {
+        let n = self.u32()? as usize;
+        let rest = self.buf.len() - self.pos;
+        if rest != 4 * n {
+            return Err(format!("{what} count {n} disagrees with payload ({rest} trailing bytes)"));
+        }
+        let words = self.take(rest)?.chunks_exact(4);
+        Ok(words.map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect())
+    }
+
+    /// The payload must end here.
+    pub(crate) fn finish(&self, what: &str) -> Result<(), String> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            extra => Err(format!("{extra} trailing bytes after {what}")),
+        }
     }
 }
 

@@ -7,8 +7,8 @@
 //! pins the client-side read timeout.
 
 use kgag_serve::{
-    serve_in_process_try, ClientError, FaultScorer, InfallibleScorer, ServeClient, ServeConfig,
-    ServeError, TryBatchGroupScorer,
+    serve_in_process, ClientError, FaultScorer, ServeClient, ServeConfig, ServeError,
+    TryBatchGroupScorer,
 };
 use kgag_testkit::check::Runner;
 use kgag_testkit::gen::{u32_in, vec_of};
@@ -46,11 +46,8 @@ fn serial_config() -> ServeConfig {
 
 #[test]
 fn panic_fault_cancels_its_batch_and_the_worker_survives() {
-    let scorer = FaultScorer::new(
-        InfallibleScorer(&StubScorer),
-        FaultPlan::script(vec![FaultAction::Panic]),
-    );
-    serve_in_process_try(&scorer, &serial_config(), |handle| {
+    let scorer = FaultScorer::new(StubScorer, FaultPlan::script(vec![FaultAction::Panic]));
+    serve_in_process(&scorer, &serial_config(), |handle| {
         assert_eq!(handle.score(1, vec![10, 11]), Err(ServeError::Canceled));
         // the worker outlived the unwind; the next draw (past the plan's
         // end) passes through and scores bit-exactly
@@ -63,11 +60,8 @@ fn panic_fault_cancels_its_batch_and_the_worker_survives() {
 
 #[test]
 fn error_fault_is_typed_per_case_and_transient() {
-    let scorer = FaultScorer::new(
-        InfallibleScorer(&StubScorer),
-        FaultPlan::script(vec![FaultAction::Error]),
-    );
-    serve_in_process_try(&scorer, &serial_config(), |handle| {
+    let scorer = FaultScorer::new(StubScorer, FaultPlan::script(vec![FaultAction::Error]));
+    serve_in_process(&scorer, &serial_config(), |handle| {
         assert_eq!(
             handle.score(1, vec![10]),
             Err(ServeError::Shard(kgag::ShardErrorKind::Unavailable))
@@ -79,11 +73,8 @@ fn error_fault_is_typed_per_case_and_transient() {
 
 #[test]
 fn corrupt_fault_flips_exactly_the_first_score_bit() {
-    let scorer = FaultScorer::new(
-        InfallibleScorer(&StubScorer),
-        FaultPlan::script(vec![FaultAction::Corrupt]),
-    );
-    serve_in_process_try(&scorer, &serial_config(), |handle| {
+    let scorer = FaultScorer::new(StubScorer, FaultPlan::script(vec![FaultAction::Corrupt]));
+    serve_in_process(&scorer, &serial_config(), |handle| {
         let got = handle.score(3, vec![30, 31, 32]).expect("corrupt still answers");
         let want = expected_bits(3, &[30, 31, 32]);
         assert_eq!(got[0].to_bits(), want[0] ^ 1, "first score low bit flipped");
@@ -95,10 +86,10 @@ fn corrupt_fault_flips_exactly_the_first_score_bit() {
 #[test]
 fn delay_fault_pushes_queued_requests_past_their_deadline() {
     let scorer = FaultScorer::new(
-        InfallibleScorer(&StubScorer),
+        StubScorer,
         FaultPlan::script(vec![FaultAction::Delay(Duration::from_millis(60))]),
     );
-    serve_in_process_try(&scorer, &serial_config(), |handle| {
+    serve_in_process(&scorer, &serial_config(), |handle| {
         // the single worker picks this up and sleeps inside the scorer
         let slow = handle.submit(1, vec![10], None).unwrap();
         // queued behind the delay with a budget the delay will blow
@@ -109,6 +100,42 @@ fn delay_fault_pushes_queued_requests_past_their_deadline() {
         assert_eq!(doomed.wait(), Err(ServeError::DeadlineMissed));
         let got = fine.wait().expect("no deadline, must score after the delay");
         assert_eq!(got[0].to_bits(), stub_score(3, 30).to_bits());
+    });
+}
+
+/// Answers group 1 with a short row and drops every case after the
+/// second — two ways of breaking the one-row-per-case contract.
+struct MiscountingScorer;
+
+impl kgag_eval::protocol::BatchGroupScorer for MiscountingScorer {
+    fn score_batch(&self, cases: &[(u32, Vec<u32>)]) -> Vec<Vec<f32>> {
+        let rows = StubScorer.score_batch(cases);
+        rows.into_iter()
+            .zip(cases)
+            .take(2)
+            .map(|(row, (g, _))| if *g == 1 { Vec::new() } else { row })
+            .collect()
+    }
+}
+
+#[test]
+fn a_reply_that_breaks_the_contract_is_invalid_for_its_case_alone() {
+    let config = ServeConfig {
+        batch_window: Duration::from_millis(50),
+        max_batch: 3,
+        queue_capacity: 16,
+        workers: 1,
+    };
+    serve_in_process(&MiscountingScorer, &config, |handle| {
+        let pending: Vec<_> =
+            (0..3).map(|g| handle.submit(g, vec![g + 10, g + 11], None).unwrap()).collect();
+        let got: Vec<_> = pending.into_iter().map(|p| p.wait()).collect();
+        let ok = got[0].as_ref().expect("a well-formed row is answered");
+        assert_eq!(ok.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), expected_bits(0, &[10, 11]));
+        assert_eq!(got[1], Err(ServeError::Invalid), "short row");
+        assert_eq!(got[2], Err(ServeError::Invalid), "missing row");
+        // the worker survived the miscount
+        assert_eq!(handle.score(0, vec![3]).map(|r| r.len()), Ok(1));
     });
 }
 
@@ -143,9 +170,8 @@ fn every_accepted_request_resolves_exactly_once_under_fault_storms() {
                 queue_capacity: 4096,
                 workers: *workers as usize,
             };
-            let scorer =
-                FaultScorer::new(InfallibleScorer(&StubScorer), FaultPlan::script(actions));
-            serve_in_process_try(&scorer, &config, |handle| {
+            let scorer = FaultScorer::new(StubScorer, FaultPlan::script(actions));
+            serve_in_process(&scorer, &config, |handle| {
                 let results: Vec<_> = std::thread::scope(|s| {
                     let joins: Vec<_> = reqs
                         .chunks(reqs.len().div_ceil(2))

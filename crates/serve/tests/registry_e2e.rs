@@ -6,7 +6,7 @@
 //! and a promote/rollback stress proving no response is ever torn
 //! between versions.
 
-use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryError, RegistryModel};
+use kgag::{checkpoint_hash, Kgag, KgagConfig, RegistryError, RegistryModel, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -55,7 +55,7 @@ fn entry_from(bytes: &[u8]) -> RegistryModel {
     let split = split_dataset(&fx.ds, 11);
     let mut model = Kgag::new(&fx.ds, &split, KgagConfig { epochs: 3, ..Default::default() });
     model.load_checkpoint(bytes).expect("fixture checkpoint must restore");
-    RegistryModel::new(model, checkpoint_hash(bytes), true)
+    RegistryModel::new(Scorer::new(model, true), checkpoint_hash(bytes))
 }
 
 fn factory() -> ModelFactory {
@@ -99,7 +99,7 @@ fn bits(scores: &[f32]) -> Vec<u32> {
 /// thread count the batcher used.
 fn offline_bits(ckpt: &[u8], cases: &[(u32, Vec<u32>)]) -> Vec<Vec<u32>> {
     let entry = entry_from(ckpt);
-    with_threads(1, || entry.score_cases(cases)).unwrap().iter().map(|r| bits(r)).collect()
+    with_threads(1, || entry.try_score_cases(cases)).unwrap().iter().map(|r| bits(r)).collect()
 }
 
 /// A registry server on a loopback port, joined down on drop — the
@@ -251,7 +251,7 @@ fn version_skew_is_typed_unsupported_in_both_directions() {
 
     // v3 opcodes against a single-model server: typed, connection survives
     let entry = entry_from(&fx.ckpt_a);
-    let scorer = entry.model().batch_scorer_with(true);
+    let scorer = Scorer::new(entry.model(), true);
     let config = ServeConfig::default();
     let token = ShutdownToken::new();
     let (tx, rx) = mpsc::channel();

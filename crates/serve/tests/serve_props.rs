@@ -3,7 +3,7 @@
 //! across shutdown, backpressure rejects instead of blocking, deadlines
 //! drop unscored work, and the TCP layer preserves score bits.
 //!
-//! Bit-identity against the *real* engine (checkpoint → BatchScorer →
+//! Bit-identity against the *real* engine (checkpoint → Scorer →
 //! served scores vs `evaluate_batched`) lives in the `serve_check` CI
 //! gate; these tests pin the transport and scheduling semantics with
 //! scorers whose behaviour is fully controlled.

@@ -11,7 +11,7 @@
 //! handshakes, framing, the peer pool's failure semantics, and the
 //! batcher-facing `TryBatchGroupScorer` seam.
 
-use kgag::{Kgag, KgagConfig, RouterCore};
+use kgag::{Kgag, KgagConfig, RouterCore, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -102,7 +102,7 @@ fn bits(scores: &[f32]) -> Vec<u32> {
 fn tcp_sharded_scores_are_bit_identical_to_single_node() {
     let (ds, model) = fixture();
     let cases = cases(ds);
-    let want: Vec<Vec<u32>> = with_threads(1, || model.batch_scorer_with(true).score_cases(&cases))
+    let want: Vec<Vec<u32>> = with_threads(1, || Scorer::new(model, true).score_cases(&cases))
         .iter()
         .map(|r| bits(r))
         .collect();
@@ -138,7 +138,7 @@ fn out_of_range_requests_get_typed_invalid_not_a_panic() {
 fn killing_a_shard_yields_typed_errors_on_affected_requests_only() {
     let (ds, model) = fixture();
     let cases = cases(ds);
-    let want: Vec<Vec<u32>> = with_threads(1, || model.batch_scorer_with(true).score_cases(&cases))
+    let want: Vec<Vec<u32>> = with_threads(1, || Scorer::new(model, true).score_cases(&cases))
         .iter()
         .map(|r| bits(r))
         .collect();

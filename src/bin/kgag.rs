@@ -104,8 +104,9 @@ live group table and later score requests see the new membership
 (groups at the trained size use the full attention path, other sizes
 the cold-start path; DESIGN.md §13). Batching knobs:
 KGAG_SERVE_BATCH_WINDOW_US, KGAG_SERVE_MAX_BATCH, KGAG_SERVE_QUEUE,
-KGAG_SERVE_WORKERS; cache knob KGAG_RF_CACHE=0 disables the
-receptive-field cache (scores are bit-identical either way).
+KGAG_SERVE_WORKERS; scoring knobs KGAG_RF_CACHE=0 (receptive-field
+cache off) and KGAG_EVAL_BATCH (chunk cap) apply to every serve mode,
+registry entries included (scores are bit-identical either way).
 `serve --shards A,B,..` runs the scatter-gather router instead: shard
 peers (started with `kgag shard --index I --count N` on the same
 dataset/config/checkpoint) hold the embedding-table slices and answer
@@ -336,10 +337,10 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     }
     let ds = dataset(opts)?;
     let model = load_or_train(&ds, opts)?;
-    // the dynamic scorer doubles as the lifecycle backend: the same
+    // the scorer doubles as the lifecycle backend: the same
     // server socket accepts create/join/leave mutations and scores
     // against the live group table (DESIGN.md §13)
-    let scorer = model.dynamic_scorer();
+    let scorer = model.batch_scorer();
     match scorer.cache_bytes() {
         Some(b) => eprintln!("receptive-field cache resident: {:.1} KiB", b as f64 / 1024.0),
         None => eprintln!("receptive-field cache disabled"),
@@ -453,14 +454,13 @@ fn cmd_serve_registry(opts: &Flags) -> Result<(), String> {
     let hash = kgag::checkpoint_hash(&bytes);
     drop(model); // the factory rebuilds it below — one construction path
     let cfg = config(opts)?;
-    let cache = std::env::var("KGAG_RF_CACHE").map(|v| v != "0").unwrap_or(true);
     let factory: ModelFactory = {
         let ds = ds.clone();
         Box::new(move |ckpt_bytes, ckpt_hash| {
             let split = split_dataset(&ds, 0x5eed);
             let mut m = Kgag::new(&ds, &split, cfg.clone());
             m.load_checkpoint(ckpt_bytes).map_err(|e| e.to_string())?;
-            Ok(kgag::RegistryModel::new(m, ckpt_hash, cache))
+            Ok(kgag::RegistryModel::new(kgag::Scorer::from_env(m), ckpt_hash))
         })
     };
     let entry = factory(&bytes, hash)?;

@@ -1,11 +1,11 @@
 //! The inference-engine oracle (DESIGN.md §14): every serving scorer —
-//! [`kgag::BatchScorer`], [`kgag::DynamicScorer`],
-//! [`kgag::RegistryModel`] and [`kgag::RouterCore`] — must return the
+//! the local [`kgag::Scorer`] (live-mutated, and owned by a
+//! [`kgag::RegistryModel`]) and [`kgag::RouterCore`] — must return the
 //! bits of the tape forward ([`Kgag::score_group_items`],
 //! [`Kgag::score_members`]) for every backend, dimension, depth and
 //! ablation. Equality is on `f32::to_bits`, not a tolerance.
 
-use kgag::{Backend, Kgag, KgagConfig, LocalFetch, RegistryModel, RouterCore};
+use kgag::{Backend, Kgag, KgagConfig, LocalFetch, RegistryModel, RouterCore, Scorer};
 use kgag_data::movielens::Scale;
 use kgag_data::split::split_dataset;
 use kgag_data::yelp::{yelp, YelpConfig};
@@ -67,7 +67,7 @@ fn batch_engine_equals_tape_across_backends_dims_and_depths() {
                     Kgag::new(&ds, &split_dataset(&ds, 11), config)
                 };
                 let label = format!("{backend:?} d={dim} H={layers}");
-                let got = with_threads(2, || model.batch_scorer_with(true).score_cases(&cases));
+                let got = with_threads(2, || Scorer::new(&model, true).score_cases(&cases));
                 assert_served(&label, &tape(&model, &cases), &got);
             }
         }
@@ -83,7 +83,7 @@ fn longer_trained_models_keep_the_tape_bits() {
     let cases = cases(&ds, 20);
     for backend in [Backend::Gcn, Backend::InteractionPattern] {
         let model = trained_for(&ds, KgagConfig { backend, ..Default::default() }, 8);
-        let got = with_threads(2, || model.batch_scorer_with(true).score_cases(&cases));
+        let got = with_threads(2, || Scorer::new(&model, true).score_cases(&cases));
         assert_served(&format!("{backend:?} 8 epochs"), &tape(&model, &cases), &got);
     }
 }
@@ -103,8 +103,7 @@ fn batch_engine_equals_tape_under_ablations() {
         let model = trained(&ds, config);
         let want = tape(&model, &cases);
         for (cache, chunk) in [(true, 256), (false, 5)] {
-            let got =
-                model.batch_scorer_with(cache).with_batch_instances(chunk).score_cases(&cases);
+            let got = Scorer::new(&model, cache).with_batch_instances(chunk).score_cases(&cases);
             assert_served(&format!("{label} cache={cache} chunk={chunk}"), &want, &got);
         }
     }
@@ -117,7 +116,7 @@ fn dynamic_and_registry_engines_equal_tape() {
     for backend in [Backend::Gcn, Backend::InteractionPattern] {
         let model = trained(&ds, KgagConfig { backend, ..Default::default() });
         let want = tape(&model, &cases);
-        let dynamic = model.dynamic_scorer_with(true);
+        let dynamic = Scorer::new(&model, true);
         assert_served("dynamic", &want, &dynamic.try_score_cases(&cases).unwrap());
 
         // a join pushes group 0 off the nominal size: the engine drops
@@ -137,8 +136,8 @@ fn dynamic_and_registry_engines_equal_tape() {
         let mut twin = Kgag::new(&ds, &split, KgagConfig { backend, ..Default::default() });
         let bytes = model.save_checkpoint();
         twin.load_checkpoint(&bytes).unwrap();
-        let entry = RegistryModel::new(twin, kgag::checkpoint_hash(&bytes), true);
-        assert_served("registry", &want, &entry.score_cases(&cases).unwrap());
+        let entry = RegistryModel::new(Scorer::new(twin, true), kgag::checkpoint_hash(&bytes));
+        assert_served("registry", &want, &entry.try_score_cases(&cases).unwrap());
     }
 }
 
